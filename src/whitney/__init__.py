@@ -16,6 +16,7 @@ from .enumeration import (
 )
 from .errors import (
     BadConstantTerm,
+    BadGrid,
     InstanceTooLarge,
     NotInvertible,
     NotSolvable,

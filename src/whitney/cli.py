@@ -35,6 +35,16 @@ SERIES_KINDS = (
 )
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer, got %r" % (text,))
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="whitney",
@@ -44,21 +54,21 @@ def _build_parser():
 
     p = sub.add_parser("table", help="print triangle rows 0..n")
     p.add_argument("kind", choices=TABLE_KINDS)
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--m", type=_positive_int, default=1)
     p.add_argument("--r", type=parse_rat, default=Fraction(0))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty")
 
     p = sub.add_parser("poly", help="print family members of degree 0..n")
     p.add_argument("kind", choices=POLY_KINDS)
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--m", type=_positive_int, default=1)
     p.add_argument("--r", type=parse_rat, default=Fraction(0))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty")
 
     p = sub.add_parser("series", help="print EGF coefficients to a given order")
     p.add_argument("kind", choices=SERIES_KINDS)
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--m", type=_positive_int, default=1)
     p.add_argument("--r", type=parse_rat, default=Fraction(0))
     p.add_argument("--k", type=int, default=0, help="column index for column series")
     p.add_argument("--u", type=parse_rat, default=Fraction(1), help="evaluation point")
@@ -68,7 +78,7 @@ def _build_parser():
     p = sub.add_parser("verify", help="run identity checks")
     p.add_argument("name", help="registered identity name, or 'all'")
     p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--m", type=int, action="append", default=None)
+    p.add_argument("--m", type=_positive_int, action="append", default=None)
     p.add_argument("--r", type=int, action="append", default=None)
     p.add_argument("--format", choices=("json", "pretty"), default="json")
 
@@ -78,7 +88,7 @@ def _build_parser():
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--r", type=int, required=True)
     return parser
 
@@ -158,14 +168,7 @@ def _cmd_verify(args, out):
     if args.name == "all":
         reports = identities.run_all(overrides or None)
     else:
-        check = identities.REGISTRY.get(args.name)
-        if check is None:
-            raise WhitneyError(
-                "unknown identity %r; known: %s"
-                % (args.name, ", ".join(identities.registry_names()))
-            )
-        applicable = {k: v for k, v in overrides.items() if k in check.grid}
-        reports = [identities.run_check(args.name, applicable or None)]
+        reports = identities.run_all(overrides or None, names=[args.name])
     if args.format == "json":
         out.write(json.dumps([rep.to_dict() for rep in reports]) + "\n")
     else:
@@ -187,13 +190,16 @@ def _cmd_verify(args, out):
 
 def _cmd_oracle_compare(args, out):
     n, k, m, r = args.n, args.k, args.m, args.r
-    if m < 1 or n < 0 or k < 0 or r < 0:
-        raise WhitneyError("need m >= 1 and nonnegative n, k, r")
+    if n < 0 or k < 0 or r < 0:
+        raise WhitneyError("need nonnegative n, k, r")
+    # the enumeration route runs first: its label cap must stop an
+    # oversized request before the algebraic routes spend time on it
+    pairs = enumeration.count_whitney_pairs(n, k, m, r)
     values = {
         "recurrence": triangles.whitney2_row(m, r, n)[k] if k <= n else 0,
         "grammar": whitney_row_from_grammar(m, r, n)[k] if k <= n else 0,
         "egf": triangles.whitney2_row_egf(m, r, n)[k] if k <= n else 0,
-        "pairs": enumeration.count_whitney_pairs(n, k, m, r),
+        "pairs": pairs,
         "mr": enumeration.count_augmented_partitions(n, k, m, r),
     }
     agree = len({Fraction(v) for v in values.values()}) == 1

@@ -35,3 +35,7 @@ class OrderExceeded(WhitneyError):
 
 class UnknownIdentity(WhitneyError):
     """No identity check is registered under the given name."""
+
+
+class BadGrid(WhitneyError, ValueError):
+    """An identity grid is malformed or evaluates no points."""

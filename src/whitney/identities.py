@@ -6,6 +6,14 @@ counterexample if the sides ever differ.  Polynomial statements are
 compared coefficient by coefficient, never by sampling; scalar statements
 are compared at every grid point.
 
+Each identity is declared once, at its definition, by the ``_identity``
+decorator, which names its summary, comparison mode, grid and axes.  A
+stateless identity is a function of one grid point returning its two
+sides, and ``_walk`` iterates the product of its axes; an identity that
+carries state from one point to the next is itself a generator over the
+grid.  Either way the registry holds a generator of (params, lhs, rhs),
+and ``run_check`` is the one runner.
+
 Two entries ("dowling-to-bernoulli", "dowling-to-euler") are flagged: the
 printed derivations they come from contain apparent slips, so their
 reports always carry two outcomes: the statement exactly as printed, and
@@ -17,9 +25,11 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from math import comb, factorial
 
-from .errors import UnknownIdentity
+from .errors import BadGrid, UnknownIdentity
 from .grammar import XYPoly, derive_n, whitney_grammar
 from .operators import forward_difference_op, scaled_log_op, shift_op
 from .poly import Poly, stepped_product, xy_accumulate, xy_expand_sum, xy_product
@@ -27,6 +37,7 @@ from .qformat import rat_str
 from .riordan import connection_constants
 from .series import Egf, expm1_scaled, log1p_scaled
 from .triangles import (
+    _entries,
     bernoulli_numbers,
     bernoulli_poly,
     cauchy_numbers,
@@ -38,34 +49,10 @@ from .triangles import (
     m_stirling2_row,
     touchard_inverse_poly,
     touchard_poly,
-    whitney1_row,
     whitney2_row,
 )
 
 # -- small helpers ------------------------------------------------------
-
-
-def _ipow(base, e):
-    # 0^0 = 1, matching the empty-product reading used in the stated sums
-    return 1 if e == 0 else base ** e
-
-
-def _comb0(n, k):
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
-def _w2(m, r, n, k):
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return whitney2_row(m, r, n)[k]
-
-
-def _w1(m, r, n, k):
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return whitney1_row(m, r, n)[k]
 
 
 def _xpow(n):
@@ -74,6 +61,21 @@ def _xpow(n):
 
 def _touchard_at_one(m, n):
     return sum(m_stirling2_row(m, n))
+
+
+def _lincomb(terms) -> Poly:
+    """The polynomial sum of c * p over the (c, p) pairs of `terms`."""
+    out = []
+    for c, p in terms:
+        if c:
+            out.extend([0] * (len(p.coeffs) - len(out)))
+            for i, a in enumerate(p.coeffs):
+                out[i] += c * a
+    return Poly(out)
+
+
+def _mr(grid):
+    return product(grid["m"], grid["r"])
 
 
 def exact_det(rows) -> Fraction:
@@ -111,12 +113,10 @@ def dowling_from_determinant(m, r, n) -> Poly:
     The matrix is (n+1) x (n+1): row 0 holds 1, x, ..., x^n and row i >= 1
     holds the first-kind entries w(j, i-1) for j = 0..n.
     """
+    w = _entries("whitney1", m, r)
     coeffs = []
     for j in range(n + 1):
-        minor = [
-            [_w1(m, r, jj, i - 1) for jj in range(n + 1) if jj != j]
-            for i in range(1, n + 1)
-        ]
+        minor = [[w(jj, i - 1) for jj in range(n + 1) if jj != j] for i in range(1, n + 1)]
         coeffs.append((-1) ** j * exact_det(minor))
     return Poly(c * (-1) ** n for c in coeffs)
 
@@ -132,537 +132,6 @@ def _sheffer_pair_euler(order):
 def _sheffer_pair_dowling(m, r, order):
     g = Egf.one_plus_ct(m, order).pow(-Fraction(r) / m)
     return (g, log1p_scaled(m, order))
-
-
-# -- evaluators ----------------------------------------------------------
-# Each yields (params, lhs, rhs); the runner compares lhs == rhs exactly.
-
-
-def _ev_egf_whitney2(grid):
-    n_max = grid["max_n"]
-    for m in grid["m"]:
-        for r in grid["r"]:
-            col = Egf.exp_linear(r, n_max)
-            step = expm1_scaled(m, n_max)
-            kfact = 1
-            for k in range(n_max + 1):
-                lhs = [col.a[n] / kfact for n in range(n_max + 1)]
-                rhs = [_w2(m, r, n, k) for n in range(n_max + 1)]
-                yield {"m": m, "r": r, "k": k}, lhs, rhs
-                if k < n_max:
-                    col = col.mul(step)
-                    kfact *= k + 1
-
-
-def _ev_egf_dowling(grid):
-    n_max = grid["max_n"]
-    for m in grid["m"]:
-        for r in grid["r"]:
-            growth = expm1_scaled(m, n_max)
-            rt = Egf([0, r] + [0] * (n_max - 1))
-            for u in grid["u"]:
-                series = (rt + u * growth).exp()
-                lhs = list(series.a)
-                rhs = [dowling_poly(m, r, n)(u) for n in range(n_max + 1)]
-                yield {"m": m, "r": r, "u": u}, lhs, rhs
-
-
-def _ev_lemma_grammar_dowling(grid):
-    for m in grid["m"]:
-        g = whitney_grammar(m)
-        for r in grid["r"]:
-            state = XYPoly.monomial(1, r)
-            for n in range(grid["max_n"] + 1):
-                row = whitney2_row(m, r, n)
-                rhs = XYPoly({(1, m * k + r): row[k] for k in range(n + 1)})
-                yield {"m": m, "r": r, "n": n}, state, rhs
-                state = derive_n(g, state, 1)
-
-
-def _ev_dowling_shift(grid):
-    for m in grid["m"]:
-        for r in grid["r"]:
-            for l in grid["l"]:
-                for n in range(grid["max_n"] + 1):
-                    lhs = dowling_poly(m, r + l, n)
-                    rhs = Poly()
-                    for k in range(n + 1):
-                        rhs = rhs + comb(n, k) * _ipow(l, n - k) * dowling_poly(m, r, k)
-                    yield {"m": m, "r": r, "l": l, "n": n}, lhs, rhs
-
-
-def _ev_dowling_shift_l1(grid):
-    inner = dict(grid)
-    inner["l"] = (1,)
-    for params, lhs, rhs in _ev_dowling_shift(inner):
-        del params["l"]
-        yield params, lhs, rhs
-
-
-def _ev_spivey(grid):
-    for m in grid["m"]:
-        for r in grid["r"]:
-            for n in range(grid["max_n"] + 1):
-                for h in range(grid["max_h"] + 1):
-                    lhs = dowling_poly(m, r, n + h)
-                    rhs = Poly()
-                    for k in range(n + 1):
-                        base = comb(n, k) * dowling_poly(m, r, k)
-                        for j in range(h + 1):
-                            c = _w2(m, r, h, j) * _ipow(j * m, n - k)
-                            if c:
-                                rhs = rhs + (c * base).mul_xpow(j)
-                    yield {"m": m, "r": r, "n": n, "h": h}, lhs, rhs
-
-
-def _ev_whitney_convolution(grid):
-    for m in grid["m"]:
-        for r in grid["r"]:
-            for n in range(grid["max_n"] + 1):
-                for h in range(grid["max_h"] + 1):
-                    lhs = whitney2_row(m, r, n + h)
-                    rhs = [
-                        sum(
-                            comb(n, k)
-                            * _w2(m, r, h, j)
-                            * _w2(m, r, k, s - j)
-                            * _ipow(j * m, n - k)
-                            for k in range(n + 1)
-                            for j in range(h + 1)
-                        )
-                        for s in range(n + h + 1)
-                    ]
-                    yield {"m": m, "r": r, "n": n, "h": h}, lhs, rhs
-
-
-def _ev_dowling_recurrence(grid):
-    for m in grid["m"]:
-        for r in grid["r"]:
-            for n in range(grid["max_n"] + 1):
-                lhs = dowling_poly(m, r, n + 1)
-                acc = Poly()
-                for j in range(n + 1):
-                    acc = acc + comb(n, j) * m ** (n - j) * dowling_poly(m, r, j)
-                rhs = r * dowling_poly(m, r, n) + acc.mul_xpow(1)
-                yield {"m": m, "r": r, "n": n}, lhs, rhs
-
-
-def _ev_whitney_recurrence(grid):
-    for m in grid["m"]:
-        for r in grid["r"]:
-            for n in range(grid["max_n"] + 1):
-                lhs = whitney2_row(m, r, n + 1)
-                rhs = [
-                    r * _w2(m, r, n, k)
-                    + sum(
-                        comb(n, j) * m ** (n - j) * _w2(m, r, j, k - 1)
-                        for j in range(max(k - 1, 0), n + 1)
-                    )
-                    for k in range(n + 2)
-                ]
-                yield {"m": m, "r": r, "n": n}, lhs, rhs
-
-
-def _ev_r_shift_s(grid):
-    for m in grid["m"]:
-        for r in grid["r"]:
-            for s in grid["s"]:
-                for n in range(grid["max_n"] + 1):
-                    lhs = dowling_poly(m, r, n)
-                    rhs = Poly()
-                    for j in range(n + 1):
-                        rhs = rhs + comb(n, j) * _ipow(r - s, n - j) * dowling_poly(m, s, j)
-                    yield {"m": m, "r": r, "s": s, "n": n}, lhs, rhs
-
-
-def _ev_whitney_r_shift(grid):
-    for m in grid["m"]:
-        for r in grid["r"]:
-            for s in grid["s"]:
-                for n in range(grid["max_n"] + 1):
-                    lhs = whitney2_row(m, r, n)
-                    rhs = [
-                        sum(
-                            comb(n, j) * _ipow(r - s, n - j) * _w2(m, s, j, k)
-                            for j in range(n + 1)
-                        )
-                        for k in range(n + 1)
-                    ]
-                    yield {"m": m, "r": r, "s": s, "n": n}, lhs, rhs
-
-
-def _ev_touchard_binomial(grid):
-    for m in grid["m"]:
-        for n in range(grid["max_n"] + 1):
-            lhs = xy_expand_sum(touchard_poly(m, n))
-            rhs = {}
-            for k in range(n + 1):
-                xy_accumulate(
-                    rhs,
-                    xy_product(touchard_poly(m, k), touchard_poly(m, n - k)),
-                    comb(n, k),
-                )
-            yield {"m": m, "n": n}, lhs, rhs
-
-
-def _ev_umbral_inverse_touchard(grid):
-    for m in grid["m"]:
-        for n in range(grid["max_n"] + 1):
-            lhs = Poly()
-            srow = m_stirling2_row(m, n)
-            for k in range(n + 1):
-                lhs = lhs + srow[k] * touchard_inverse_poly(m, k)
-            yield {"m": m, "n": n, "direction": "inverse-into-touchard"}, lhs, _xpow(n)
-            lhs = Poly()
-            frow = m_stirling1_row(m, n)
-            for k in range(n + 1):
-                lhs = lhs + frow[k] * touchard_poly(m, k)
-            yield {"m": m, "n": n, "direction": "touchard-into-inverse"}, lhs, _xpow(n)
-
-
-def _ev_delta_ops(grid):
-    for m in grid["m"]:
-        for n in range(1, grid["max_n"] + 1):
-            diff = forward_difference_op(m, n)
-            lhs = diff(touchard_inverse_poly(m, n))
-            rhs = n * touchard_inverse_poly(m, n - 1)
-            yield {"m": m, "n": n, "operator": "forward-difference"}, lhs, rhs
-            logop = scaled_log_op(m, n)
-            lhs = logop(touchard_poly(m, n))
-            rhs = n * touchard_poly(m, n - 1)
-            yield {"m": m, "n": n, "operator": "scaled-log"}, lhs, rhs
-
-
-def _ev_binomial_recurrences(grid):
-    x = Poly.x()
-    for m in grid["m"]:
-        for n in range(1, grid["max_n"] + 1):
-            lhs = touchard_inverse_poly(m, n)
-            rhs = x * touchard_inverse_poly(m, n - 1).shifted(-m)
-            yield {"m": m, "n": n, "family": "touchard-inverse"}, lhs, rhs
-            prev = touchard_poly(m, n - 1)
-            lhs = touchard_poly(m, n)
-            rhs = x * (prev + m * prev.deriv())
-            yield {"m": m, "n": n, "family": "touchard"}, lhs, rhs
-
-
-def _ev_sheffer_binomial_dowling(grid):
-    for m in grid["m"]:
-        for r in grid["r"]:
-            for n in range(grid["max_n"] + 1):
-                lhs = xy_expand_sum(dowling_poly(m, r, n))
-                rhs = {}
-                for k in range(n + 1):
-                    xy_accumulate(
-                        rhs,
-                        xy_product(dowling_poly(m, r, k), touchard_poly(m, n - k)),
-                        comb(n, k),
-                    )
-                yield {"m": m, "r": r, "n": n}, lhs, rhs
-
-
-def _ev_dowling_umbral_inverse(grid):
-    for m in grid["m"]:
-        for r in grid["r"]:
-            for n in range(grid["max_n"] + 1):
-                lhs = dowling_inverse_poly(m, r, n)
-                rhs = shift_op(-r, n)(touchard_inverse_poly(m, n))
-                yield {"m": m, "r": r, "n": n, "part": "shifted-product"}, lhs, rhs
-                acc = Poly()
-                for k in range(n + 1):
-                    acc = acc + _w2(m, r, n, k) * dowling_inverse_poly(m, r, k)
-                yield {"m": m, "r": r, "n": n, "part": "second-into-inverse"}, acc, _xpow(n)
-                acc = Poly()
-                for k in range(n + 1):
-                    acc = acc + _w1(m, r, n, k) * dowling_poly(m, r, k)
-                yield {"m": m, "r": r, "n": n, "part": "first-into-dowling"}, acc, _xpow(n)
-
-
-def _ev_dowlstir(grid):
-    for m in grid["m"]:
-        for r in grid["r"]:
-            for n in range(grid["max_n"] + 1):
-                lhs = dowling_poly(m, r, n)
-                rhs = Poly()
-                dp = touchard_poly(m, n)
-                for k in range(n + 1):
-                    c = Fraction(stepped_product(k, m, 0)(r), factorial(k))
-                    rhs = rhs + c * dp
-                    dp = dp.deriv()
-                yield {"m": m, "r": r, "n": n}, lhs, rhs
-
-
-def _ev_bernoulli_to_dowling(grid):
-    n_max = grid["max_n"]
-    bnum = bernoulli_numbers(n_max)
-    for m in grid["m"]:
-        for r in grid["r"]:
-            for n in range(n_max + 1):
-                lhs = bernoulli_poly(n)
-                rhs = Poly()
-                for k in range(n + 1):
-                    c = sum(
-                        comb(n, l) * bnum[n - l] * _w1(m, r, l, k) for l in range(k, n + 1)
-                    )
-                    rhs = rhs + c * dowling_poly(m, r, k)
-                yield {"m": m, "r": r, "n": n}, lhs, rhs
-
-
-def _ev_euler_to_dowling(grid):
-    n_max = grid["max_n"]
-    enum_ = euler_zero_values(n_max)
-    for m in grid["m"]:
-        for r in grid["r"]:
-            for n in range(n_max + 1):
-                lhs = euler_poly(n)
-                rhs = Poly()
-                for k in range(n + 1):
-                    c = sum(
-                        comb(n, l) * enum_[n - l] * _w1(m, r, l, k) for l in range(k, n + 1)
-                    )
-                    rhs = rhs + c * dowling_poly(m, r, k)
-                yield {"m": m, "r": r, "n": n}, lhs, rhs
-
-
-def _ev_dowling_to_bernoulli(grid):
-    n_max = grid["max_n"]
-    bnum = bernoulli_numbers(n_max + 1)
-    for m in grid["m"]:
-        t_one = [_touchard_at_one(m, s) for s in range(n_max + 2)]
-        for r in grid["r"]:
-            for n in range(n_max + 1):
-                lhs = dowling_poly(m, r, n)
-                rhs = Poly()
-                for k in range(n + 1):
-                    c = Fraction(0)
-                    for l in range(n - k + 1):
-                        for s in range(l + 1):
-                            c += (
-                                comb(n + 1, l + 1)
-                                * comb(l + 1, s + 1)
-                                * _w2(m, r, n - l, k)
-                                * Fraction(m) ** (l - s)
-                                * t_one[s + 1]
-                                * bnum[l - s]
-                            )
-                    rhs = rhs + Fraction(c, n + 1) * bernoulli_poly(k)
-                yield {"m": m, "r": r, "n": n}, lhs, rhs
-
-
-def _ev_dowling_to_bernoulli_corrected(grid):
-    # correction route: take the constants straight off the
-    # connection-constant array between the two Sheffer pairs
-    n_max = grid["max_n"]
-    for m in grid["m"]:
-        for r in grid["r"]:
-            arr = connection_constants(
-                _sheffer_pair_bernoulli(n_max), _sheffer_pair_dowling(m, r, n_max)
-            )
-            for n in range(n_max + 1):
-                lhs = dowling_poly(m, r, n)
-                rhs = Poly()
-                for k in range(n + 1):
-                    rhs = rhs + arr.entry(n, k) * bernoulli_poly(k)
-                yield {"m": m, "r": r, "n": n}, lhs, rhs
-
-
-def _ev_dowling_to_euler(grid):
-    n_max = grid["max_n"]
-    for m in grid["m"]:
-        t_one = [_touchard_at_one(m, s) for s in range(n_max + 1)]
-        for r in grid["r"]:
-            for n in range(n_max + 1):
-                lhs = dowling_poly(m, r, n)
-                rhs = Poly()
-                for k in range(n + 1):
-                    c = Fraction(1, 2) * sum(
-                        comb(n, l) * _w2(m, r, n - l, k) * t_one[l]
-                        for l in range(n - k + 1)
-                    ) + Fraction(1, 2) * _w2(m, r, n, k)
-                    rhs = rhs + c * euler_poly(k)
-                yield {"m": m, "r": r, "n": n}, lhs, rhs
-
-
-def _ev_dowling_to_euler_corrected(grid):
-    n_max = grid["max_n"]
-    for m in grid["m"]:
-        for r in grid["r"]:
-            arr = connection_constants(
-                _sheffer_pair_euler(n_max), _sheffer_pair_dowling(m, r, n_max)
-            )
-            for n in range(n_max + 1):
-                lhs = dowling_poly(m, r, n)
-                rhs = Poly()
-                for k in range(n + 1):
-                    rhs = rhs + arr.entry(n, k) * euler_poly(k)
-                yield {"m": m, "r": r, "n": n}, lhs, rhs
-
-
-def _ev_az_w2(grid):
-    n_max = grid["max_n"]
-    cnum = cauchy_numbers(n_max)
-    for m in grid["m"]:
-        for r in grid["r"]:
-            for n in range(n_max):
-                lhs = [_w2(m, r, n + 1, k + 1) for k in range(n + 1)]
-                rhs = [
-                    sum(
-                        Fraction(n + 1, k + 1)
-                        * comb(k + j, j)
-                        * cnum[j]
-                        * Fraction(m) ** j
-                        * _w2(m, r, n, k + j)
-                        for j in range(n - k + 1)
-                    )
-                    for k in range(n + 1)
-                ]
-                yield {"m": m, "r": r, "n": n, "identity": "a-sequence-row"}, lhs, rhs
-            for n in range(1, n_max + 1):
-                lhs = [_w2(m, r, n, k) - r * _w2(m, r, n - 1, k) for k in range(n + 1)]
-                rhs = [
-                    sum(
-                        _comb0(n - 1, l - 1) * m ** (n - l) * _w2(m, r, l - 1, k - 1)
-                        for l in range(max(k, 1), n + 1)
-                    )
-                    for k in range(n + 1)
-                ]
-                yield {"m": m, "r": r, "n": n, "identity": "g-shift"}, lhs, rhs
-                lhs = [k * _w2(m, r, n, k) for k in range(n + 1)]
-                rhs = [
-                    sum(
-                        _comb0(n, l - 1) * m ** (n - l) * _w2(m, r, l - 1, k - 1)
-                        for l in range(max(k, 1), n + 1)
-                    )
-                    for k in range(n + 1)
-                ]
-                yield {"m": m, "r": r, "n": n, "identity": "column-scale"}, lhs, rhs
-
-
-def _ev_az_w1(grid):
-    n_max = grid["max_n"]
-    bnum = bernoulli_numbers(n_max)
-    for m in grid["m"]:
-        for r in grid["r"]:
-            for n in range(n_max):
-                lhs = [_w1(m, r, n + 1, k + 1) for k in range(n + 1)]
-                rhs = [
-                    sum(
-                        Fraction(n + 1, k + 1)
-                        * comb(k + j, j)
-                        * bnum[j]
-                        * Fraction(m) ** j
-                        * _w1(m, r, n, k + j)
-                        for j in range(n - k + 1)
-                    )
-                    for k in range(n + 1)
-                ]
-                yield {"m": m, "r": r, "n": n, "identity": "a-sequence-row"}, lhs, rhs
-            for n in range(1, n_max + 1):
-                lhs = [
-                    _w1(m, r, n, k)
-                    + r
-                    * sum(
-                        comb(n - 1, l)
-                        * factorial(n - l - 1)
-                        * _w1(m, r, l, k)
-                        * (-m) ** (n - l - 1)
-                        for l in range(n)
-                    )
-                    for k in range(n + 1)
-                ]
-                rhs = [
-                    sum(
-                        _comb0(n - 1, l - 1)
-                        * (-m) ** (n - l)
-                        * factorial(n - l)
-                        * _w1(m, r, l - 1, k - 1)
-                        for l in range(max(k, 1), n + 1)
-                    )
-                    for k in range(n + 1)
-                ]
-                yield {"m": m, "r": r, "n": n, "identity": "g-shift"}, lhs, rhs
-                lhs = [k * _w1(m, r, n, k) for k in range(n + 1)]
-                rhs = [
-                    sum(
-                        _comb0(n, l - 1)
-                        * (-m) ** (n - l)
-                        * factorial(n - l)
-                        * _w1(m, r, l - 1, k - 1)
-                        for l in range(max(k, 1), n + 1)
-                    )
-                    for k in range(n + 1)
-                ]
-                yield {"m": m, "r": r, "n": n, "identity": "column-scale"}, lhs, rhs
-
-
-def _ev_orthogonality(grid):
-    n_max = grid["max_n"]
-    for m in grid["m"]:
-        for r in grid["r"]:
-            for n in range(n_max + 1):
-                lhs = [
-                    sum(_w2(m, r, n, i) * _w1(m, r, i, s) for i in range(s, n + 1))
-                    for s in range(n + 1)
-                ]
-                rhs = [1 if s == n else 0 for s in range(n + 1)]
-                yield {"m": m, "r": r, "n": n, "direction": "second-first"}, lhs, rhs
-                lhs = [
-                    sum(_w1(m, r, n, i) * _w2(m, r, i, s) for i in range(s, n + 1))
-                    for s in range(n + 1)
-                ]
-                yield {"m": m, "r": r, "n": n, "direction": "first-second"}, lhs, rhs
-
-
-def _ev_inverse_relation(grid):
-    n_max = grid["max_n"]
-    for m in grid["m"]:
-        for r in grid["r"]:
-            for seed in grid["seeds"]:
-                rng = random.Random("inverse-relation-%d-%s-%d" % (m, r, seed))
-                f = [rng.randint(-9, 9) for _ in range(n_max + 1)]
-                g = [
-                    sum(_w2(m, r, n, s) * f[s] for s in range(n + 1))
-                    for n in range(n_max + 1)
-                ]
-                back = [
-                    sum(_w1(m, r, n, s) * g[s] for s in range(n + 1))
-                    for n in range(n_max + 1)
-                ]
-                yield {"m": m, "r": r, "seed": seed, "direction": "second-then-first"}, back, f
-                g2 = [rng.randint(-9, 9) for _ in range(n_max + 1)]
-                f2 = [
-                    sum(_w1(m, r, n, s) * g2[s] for s in range(n + 1))
-                    for n in range(n_max + 1)
-                ]
-                back2 = [
-                    sum(_w2(m, r, n, s) * f2[s] for s in range(n + 1))
-                    for n in range(n_max + 1)
-                ]
-                yield {"m": m, "r": r, "seed": seed, "direction": "first-then-second"}, back2, g2
-
-
-def _ev_power_in_dowling(grid):
-    for m in grid["m"]:
-        for r in grid["r"]:
-            for n in range(grid["max_n"] + 1):
-                acc = Poly()
-                for k in range(n + 1):
-                    acc = acc + _w1(m, r, n, k) * dowling_poly(m, r, k)
-                yield {"m": m, "r": r, "n": n, "part": "power-expansion"}, acc, _xpow(n)
-                rest = Poly()
-                for k in range(n):
-                    rest = rest + _w1(m, r, n, k) * dowling_poly(m, r, k)
-                lhs = dowling_poly(m, r, n)
-                yield {"m": m, "r": r, "n": n, "part": "rearranged"}, lhs, _xpow(n) - rest
-
-
-def _ev_determinantal(grid):
-    for m in grid["m"]:
-        for r in grid["r"]:
-            for n in range(grid["max_n"] + 1):
-                lhs = dowling_poly(m, r, n)
-                rhs = dowling_from_determinant(m, r, n)
-                yield {"m": m, "r": r, "n": n}, lhs, rhs
 
 
 # -- registry ------------------------------------------------------------
@@ -708,202 +177,488 @@ class CheckReport:
 
 
 _BASE = {"max_n": 8, "m": (1, 2, 3), "r": (0, 1, 2, 3)}
+_RANGES = {"n": "max_n", "h": "max_h"}
 
 REGISTRY: dict = {}
 
 
-def _register(name, summary, mode, evaluate, grid=None, flagged=False, variant=None):
-    g = dict(_BASE)
-    g.update(grid or {})
-    REGISTRY[name] = IdentityCheck(name, summary, mode, g, evaluate, flagged, variant)
+def _axis(axis, grid):
+    """The names of one axis and its values at `grid`, one tuple per step.
+
+    An axis is a grid key ("n" runs over 0..max_n, "h" over 0..max_h, any
+    other key over its tuple of values) or a pair (name, values) whose
+    values are a fixed tuple or a function of the grid.  A tuple of names
+    takes a tuple of values at each step.
+    """
+    if isinstance(axis, str):
+        key = _RANGES.get(axis)
+        axis = (axis, grid[axis] if key is None else range(grid[key] + 1))
+    names, values = axis
+    if callable(values):
+        values = values(grid)
+    if isinstance(names, str):
+        return (names,), [(v,) for v in values]
+    return names, values
 
 
-_register(
-    "egf-whitney2",
-    "column k series of the second-kind triangle is e^{rz}((e^{mz}-1)/m)^k/k!",
-    "numeric-at-points",
-    _ev_egf_whitney2,
-)
-_register(
-    "egf-dowling",
-    "exp(rt + u(e^{mt}-1)/m) generates the Dowling row polynomials",
-    "numeric-at-points",
-    _ev_egf_dowling,
-    grid={"u": (0, 1, 2, 3)},
-)
-_register(
-    "lemma-grammar-dowling",
-    "n-th grammar derivative of y x^r equals y x^r times the Dowling polynomial at x^m",
-    "bivariate-polynomial",
-    _ev_lemma_grammar_dowling,
-)
-_register(
-    "dowling-shift",
-    "D_{m,r+l}(n,u) = sum_k C(n,k) l^{n-k} D_{m,r}(k,u)",
-    "polynomial-in-u",
-    _ev_dowling_shift,
-    grid={"l": (0, 1, 2, 3)},
-)
-_register(
-    "dowling-shift-l1",
-    "D_{m,r+1}(n,u) = sum_k C(n,k) D_{m,r}(k,u)",
-    "polynomial-in-u",
-    _ev_dowling_shift_l1,
-)
-_register(
-    "spivey",
-    "D(n+h,u) = sum_{k,j} C(n,k) D(k,u) W(h,j) u^j (jm)^{n-k}",
-    "polynomial-in-u",
-    _ev_spivey,
-    grid={"max_h": 8},
-)
-_register(
-    "whitney-convolution",
-    "W(n+h,s) = sum_{k,j} C(n,k) W(h,j) W(k,s-j) (jm)^{n-k}",
-    "numeric-at-points",
-    _ev_whitney_convolution,
-    grid={"max_h": 8},
-)
-_register(
-    "dowling-recurrence",
-    "D(n+1,u) = r D(n,u) + u sum_j C(n,j) m^{n-j} D(j,u)",
-    "polynomial-in-u",
-    _ev_dowling_recurrence,
-)
-_register(
-    "whitney-recurrence",
-    "W(n+1,k) = r W(n,k) + sum_j C(n,j) m^{n-j} W(j,k-1)",
-    "numeric-at-points",
-    _ev_whitney_recurrence,
-)
-_register(
-    "r-shift-s",
-    "D_{m,r}(n,u) = sum_j C(n,j) (r-s)^{n-j} D_{m,s}(j,u)",
-    "polynomial-in-u",
-    _ev_r_shift_s,
-    grid={"s": (0, 1, 2, 3)},
-)
-_register(
-    "whitney-r-shift",
-    "W_{m,r}(n,k) = sum_j C(n,j) (r-s)^{n-j} W_{m,s}(j,k)",
-    "numeric-at-points",
-    _ev_whitney_r_shift,
-    grid={"s": (0, 1, 2, 3)},
-)
-_register(
-    "touchard-binomial",
-    "the generalized Touchard family is of binomial type",
-    "bivariate-polynomial",
-    _ev_touchard_binomial,
-)
-_register(
-    "umbral-inverse-T",
-    "umbral composition of the Touchard family with its inverse gives x^n",
-    "polynomial-in-u",
-    _ev_umbral_inverse_touchard,
-)
-_register(
-    "delta-ops",
-    "(E^m-I)/m lowers the inverse family; ln(1+mD)/m lowers the Touchard family",
-    "polynomial-in-u",
-    _ev_delta_ops,
-)
-_register(
-    "binomial-recurrences",
-    "That_n(x) = x That_{n-1}(x-m) and T_n(x) = x(1+mD) T_{n-1}(x)",
-    "polynomial-in-u",
-    _ev_binomial_recurrences,
-)
-_register(
-    "sheffer-binomial-D",
-    "D_n(x+y) = sum_k C(n,k) D_k(x) T_{n-k}(y)",
-    "bivariate-polynomial",
-    _ev_sheffer_binomial_dowling,
-)
-_register(
-    "dowling-umbral-inverse",
-    "the inverse Dowling family is the r-shifted stepped product; compositions give x^n",
-    "polynomial-in-u",
-    _ev_dowling_umbral_inverse,
-)
-_register(
-    "dowlstir",
-    "D_n(x) = sum_k r(r-m)...(r-(k-1)m)/k! times the k-th derivative of T_n",
-    "polynomial-in-u",
-    _ev_dowlstir,
-)
-_register(
-    "bernoulli-to-dowling",
-    "Bernoulli polynomials expanded in the Dowling family through first-kind entries",
-    "polynomial-in-u",
-    _ev_bernoulli_to_dowling,
-)
-_register(
-    "euler-to-dowling",
-    "Euler polynomials expanded in the Dowling family through first-kind entries",
-    "polynomial-in-u",
-    _ev_euler_to_dowling,
-)
-_register(
-    "dowling-to-bernoulli",
-    "Dowling polynomials expanded in Bernoulli polynomials (literal stated form)",
-    "polynomial-in-u",
-    _ev_dowling_to_bernoulli,
-    grid={"max_n": 6},
-    flagged=True,
-    variant=_ev_dowling_to_bernoulli_corrected,
-)
-_register(
-    "dowling-to-euler",
-    "Dowling polynomials expanded in Euler polynomials (literal stated form)",
-    "polynomial-in-u",
-    _ev_dowling_to_euler,
-    flagged=True,
-    variant=_ev_dowling_to_euler_corrected,
-)
-_register(
-    "az-recurrences-W2",
-    "three row recurrences of the second-kind array (Cauchy-number A-sequence)",
-    "numeric-at-points",
-    _ev_az_w2,
-)
-_register(
-    "az-recurrences-W1",
-    "three row recurrences of the first-kind array (Bernoulli-number A-sequence)",
-    "numeric-at-points",
-    _ev_az_w1,
-)
-_register(
-    "orthogonality",
-    "the two triangles are mutually inverse, entrywise",
-    "numeric-at-points",
-    _ev_orthogonality,
-    grid={"max_n": 12},
-)
-_register(
-    "inverse-relation",
-    "f = w * g holds exactly when g = W * f, on random integer sequences",
-    "numeric-at-points",
-    _ev_inverse_relation,
-    grid={"max_n": 10, "seeds": (0, 1, 2)},
-)
-_register(
-    "power-in-dowling",
-    "x^n = sum_k w(n,k) D_k(x) and its rearrangement",
-    "polynomial-in-u",
-    _ev_power_in_dowling,
-)
-_register(
-    "determinantal",
-    "(-1)^n times the bordered first-kind determinant equals D_n(x)",
-    "polynomial-in-u",
-    _ev_determinantal,
-    grid={"m": (1, 2), "r": (0, 1, 2)},
-)
+def _walk(sides, axes):
+    """Evaluator of a stateless identity: sides(**point) at each point of
+    the product of `axes`, the last axis varying fastest."""
+
+    def evaluate(grid):
+        names, values = zip(*(_axis(axis, grid) for axis in axes))
+        for step in product(*values):
+            params = {}
+            for axis_names, axis_values in zip(names, step):
+                params.update(zip(axis_names, axis_values))
+            lhs, rhs = sides(**params)
+            yield params, lhs, rhs
+
+    return evaluate
+
+
+def _identity(name, summary, mode, axes=None, grid=None, bind=None, variant=None):
+    """Declare the decorated function as the identity check `name`.
+
+    With `axes` the function gives both sides at one grid point and
+    `_walk` iterates the axes; without, it is the evaluator itself, a
+    generator of (params, lhs, rhs) taking the grid first.  `bind` fixes
+    keyword arguments, so that one function serves twin identities;
+    `grid` extends the base grid; a `variant` evaluator flags the check.
+    """
+
+    def declare(fn):
+        bound = partial(fn, **bind) if bind else fn
+        g = dict(_BASE)
+        g.update(grid or {})
+        evaluate = bound if axes is None else _walk(bound, axes)
+        flagged = variant is not None
+        REGISTRY[name] = IdentityCheck(name, summary, mode, g, evaluate, flagged, variant)
+        return fn
+
+    return declare
+
+
+_MRN = ("m", "r", "n")
+
+
+def _n_from_one(grid):
+    return range(1, grid["max_n"] + 1)
+
+
+# -- identities -----------------------------------------------------------
+# Python's 0 ** 0 is 1, the empty-product reading the stated sums use.
+
+
+@_identity("egf-whitney2",
+           "column k series of the second-kind triangle is e^{rz}((e^{mz}-1)/m)^k/k!",
+           "numeric-at-points")
+def _egf_whitney2(grid):
+    # column k + 1 is column k times the step series, carried along k
+    n_max = grid["max_n"]
+    for m, r in _mr(grid):
+        W = _entries("whitney2", m, r)
+        col = Egf.exp_linear(r, n_max)
+        step = expm1_scaled(m, n_max)
+        kfact = 1
+        for k in range(n_max + 1):
+            lhs = [col.a[n] / kfact for n in range(n_max + 1)]
+            yield {"m": m, "r": r, "k": k}, lhs, [W(n, k) for n in range(n_max + 1)]
+            if k < n_max:
+                col = col.mul(step)
+                kfact *= k + 1
+
+
+@_identity("egf-dowling", "exp(rt + u(e^{mt}-1)/m) generates the Dowling row polynomials",
+           "numeric-at-points", grid={"u": (0, 1, 2, 3)})
+def _egf_dowling(grid):
+    # the growth series is built once per (m, r) and shared by every u
+    n_max = grid["max_n"]
+    for m, r in _mr(grid):
+        growth = expm1_scaled(m, n_max)
+        rt = Egf([0, r] + [0] * (n_max - 1))
+        for u in grid["u"]:
+            lhs = list((rt + u * growth).exp().a)
+            rhs = [dowling_poly(m, r, n)(u) for n in range(n_max + 1)]
+            yield {"m": m, "r": r, "u": u}, lhs, rhs
+
+
+@_identity("lemma-grammar-dowling",
+           "n-th grammar derivative of y x^r equals y x^r times the Dowling polynomial at x^m",
+           "bivariate-polynomial")
+def _lemma_grammar_dowling(grid):
+    # the derivative is carried along n, one grammar step per point
+    for m in grid["m"]:
+        g = whitney_grammar(m)
+        for r in grid["r"]:
+            W = _entries("whitney2", m, r)
+            state = XYPoly.monomial(1, r)
+            for n in range(grid["max_n"] + 1):
+                rhs = XYPoly({(1, m * k + r): W(n, k) for k in range(n + 1)})
+                yield {"m": m, "r": r, "n": n}, state, rhs
+                state = derive_n(g, state, 1)
+
+
+@_identity("dowling-shift-l1", "D_{m,r+1}(n,u) = sum_k C(n,k) D_{m,r}(k,u)",
+           "polynomial-in-u", _MRN, bind={"l": 1})
+@_identity("dowling-shift", "D_{m,r+l}(n,u) = sum_k C(n,k) l^{n-k} D_{m,r}(k,u)",
+           "polynomial-in-u", ("m", "r", "l", "n"), grid={"l": (0, 1, 2, 3)})
+def _dowling_shift(m, r, l, n):
+    rhs = _lincomb((comb(n, k) * l ** (n - k), dowling_poly(m, r, k)) for k in range(n + 1))
+    return dowling_poly(m, r + l, n), rhs
+
+
+@_identity("spivey", "D(n+h,u) = sum_{k,j} C(n,k) D(k,u) W(h,j) u^j (jm)^{n-k}",
+           "polynomial-in-u", ("m", "r", "n", "h"), grid={"max_h": 8})
+def _spivey(m, r, n, h):
+    W = _entries("whitney2", m, r)
+    rhs = _lincomb(
+        (comb(n, k) * W(h, j) * (j * m) ** (n - k), dowling_poly(m, r, k).mul_xpow(j))
+        for k in range(n + 1)
+        for j in range(h + 1)
+    )
+    return dowling_poly(m, r, n + h), rhs
+
+
+@_identity("whitney-convolution", "W(n+h,s) = sum_{k,j} C(n,k) W(h,j) W(k,s-j) (jm)^{n-k}",
+           "numeric-at-points", ("m", "r", "n", "h"), grid={"max_h": 8})
+def _whitney_convolution(m, r, n, h):
+    W = _entries("whitney2", m, r)
+    rhs = [
+        sum(
+            comb(n, k) * W(h, j) * W(k, s - j) * (j * m) ** (n - k)
+            for k in range(n + 1)
+            for j in range(h + 1)
+        )
+        for s in range(n + h + 1)
+    ]
+    return whitney2_row(m, r, n + h), rhs
+
+
+@_identity("dowling-recurrence", "D(n+1,u) = r D(n,u) + u sum_j C(n,j) m^{n-j} D(j,u)",
+           "polynomial-in-u", _MRN)
+def _dowling_recurrence(m, r, n):
+    acc = _lincomb((comb(n, j) * m ** (n - j), dowling_poly(m, r, j)) for j in range(n + 1))
+    return dowling_poly(m, r, n + 1), r * dowling_poly(m, r, n) + acc.mul_xpow(1)
+
+
+@_identity("whitney-recurrence", "W(n+1,k) = r W(n,k) + sum_j C(n,j) m^{n-j} W(j,k-1)",
+           "numeric-at-points", _MRN)
+def _whitney_recurrence(m, r, n):
+    W = _entries("whitney2", m, r)
+    rhs = [
+        r * W(n, k)
+        + sum(comb(n, j) * m ** (n - j) * W(j, k - 1) for j in range(max(k - 1, 0), n + 1))
+        for k in range(n + 2)
+    ]
+    return whitney2_row(m, r, n + 1), rhs
+
+
+@_identity("r-shift-s", "D_{m,r}(n,u) = sum_j C(n,j) (r-s)^{n-j} D_{m,s}(j,u)",
+           "polynomial-in-u", ("m", "r", "s", "n"), grid={"s": (0, 1, 2, 3)})
+def _r_shift_s(m, r, s, n):
+    rhs = _lincomb((comb(n, j) * (r - s) ** (n - j), dowling_poly(m, s, j)) for j in range(n + 1))
+    return dowling_poly(m, r, n), rhs
+
+
+@_identity("whitney-r-shift", "W_{m,r}(n,k) = sum_j C(n,j) (r-s)^{n-j} W_{m,s}(j,k)",
+           "numeric-at-points", ("m", "r", "s", "n"), grid={"s": (0, 1, 2, 3)})
+def _whitney_r_shift(m, r, s, n):
+    W = _entries("whitney2", m, s)
+    rhs = [
+        sum(comb(n, j) * (r - s) ** (n - j) * W(j, k) for j in range(n + 1))
+        for k in range(n + 1)
+    ]
+    return whitney2_row(m, r, n), rhs
+
+
+@_identity("touchard-binomial", "the generalized Touchard family is of binomial type",
+           "bivariate-polynomial", ("m", "n"), bind={"r": 0})
+@_identity("sheffer-binomial-D", "D_n(x+y) = sum_k C(n,k) D_k(x) T_{n-k}(y)",
+           "bivariate-polynomial", _MRN)
+def _sheffer_binomial(m, r, n):
+    # at r = 0 the Dowling family is the Touchard family itself
+    rhs = {}
+    for k in range(n + 1):
+        xy_accumulate(rhs, xy_product(dowling_poly(m, r, k), touchard_poly(m, n - k)), comb(n, k))
+    return xy_expand_sum(dowling_poly(m, r, n)), rhs
+
+
+@_identity("umbral-inverse-T",
+           "umbral composition of the Touchard family with its inverse gives x^n",
+           "polynomial-in-u",
+           ("m", "n", ("direction", ("inverse-into-touchard", "touchard-into-inverse"))))
+def _umbral_inverse_touchard(m, n, direction):
+    if direction == "inverse-into-touchard":
+        row, family = m_stirling2_row(m, n), touchard_inverse_poly
+    else:
+        row, family = m_stirling1_row(m, n), touchard_poly
+    return _lincomb((row[k], family(m, k)) for k in range(n + 1)), _xpow(n)
+
+
+@_identity("delta-ops",
+           "(E^m-I)/m lowers the inverse family; ln(1+mD)/m lowers the Touchard family",
+           "polynomial-in-u",
+           ("m", ("n", _n_from_one), ("operator", ("forward-difference", "scaled-log"))))
+def _delta_ops(m, n, operator):
+    if operator == "forward-difference":
+        op, family = forward_difference_op(m, n), touchard_inverse_poly
+    else:
+        op, family = scaled_log_op(m, n), touchard_poly
+    return op(family(m, n)), n * family(m, n - 1)
+
+
+@_identity("binomial-recurrences", "That_n(x) = x That_{n-1}(x-m) and T_n(x) = x(1+mD) T_{n-1}(x)",
+           "polynomial-in-u",
+           ("m", ("n", _n_from_one), ("family", ("touchard-inverse", "touchard"))))
+def _binomial_recurrences(m, n, family):
+    x = Poly.x()
+    if family == "touchard-inverse":
+        return touchard_inverse_poly(m, n), x * touchard_inverse_poly(m, n - 1).shifted(-m)
+    prev = touchard_poly(m, n - 1)
+    return touchard_poly(m, n), x * (prev + m * prev.deriv())
+
+
+def _umbral(kind, family, m, r, n, upto):
+    """sum_{k < upto} E(n,k) P_k(x), E the `kind` triangle, P_k = family(m, r, k)."""
+    e = _entries(kind, m, r)
+    return _lincomb((e(n, k), family(m, r, k)) for k in range(upto))
+
+
+@_identity("dowling-umbral-inverse",
+           "the inverse Dowling family is the r-shifted stepped product; compositions give x^n",
+           "polynomial-in-u",
+           _MRN + (("part", ("shifted-product", "second-into-inverse", "first-into-dowling")),))
+def _dowling_umbral_inverse(m, r, n, part):
+    if part == "shifted-product":
+        return dowling_inverse_poly(m, r, n), shift_op(-r, n)(touchard_inverse_poly(m, n))
+    if part == "second-into-inverse":
+        return _umbral("whitney2", dowling_inverse_poly, m, r, n, n + 1), _xpow(n)
+    return _umbral("whitney1", dowling_poly, m, r, n, n + 1), _xpow(n)
+
+
+@_identity("power-in-dowling", "x^n = sum_k w(n,k) D_k(x) and its rearrangement",
+           "polynomial-in-u", _MRN + (("part", ("power-expansion", "rearranged")),))
+def _power_in_dowling(m, r, n, part):
+    if part == "power-expansion":
+        return _umbral("whitney1", dowling_poly, m, r, n, n + 1), _xpow(n)
+    return dowling_poly(m, r, n), _xpow(n) - _umbral("whitney1", dowling_poly, m, r, n, n)
+
+
+@_identity("dowlstir", "D_n(x) = sum_k r(r-m)...(r-(k-1)m)/k! times the k-th derivative of T_n",
+           "polynomial-in-u", _MRN)
+def _dowlstir(m, r, n):
+    derivs = [touchard_poly(m, n)]
+    for _ in range(n):
+        derivs.append(derivs[-1].deriv())
+    rhs = _lincomb(
+        (Fraction(stepped_product(k, m, 0)(r), factorial(k)), dp) for k, dp in enumerate(derivs)
+    )
+    return dowling_poly(m, r, n), rhs
+
+
+@_identity("bernoulli-to-dowling",
+           "Bernoulli polynomials expanded in the Dowling family through first-kind entries",
+           "polynomial-in-u", _MRN, bind={"numbers": bernoulli_numbers, "family": bernoulli_poly})
+@_identity("euler-to-dowling",
+           "Euler polynomials expanded in the Dowling family through first-kind entries",
+           "polynomial-in-u", _MRN, bind={"numbers": euler_zero_values, "family": euler_poly})
+def _family_to_dowling(numbers, family, m, r, n):
+    c = numbers(n)
+    w = _entries("whitney1", m, r)
+    rhs = _lincomb(
+        (sum(comb(n, l) * c[n - l] * w(l, k) for l in range(k, n + 1)), dowling_poly(m, r, k))
+        for k in range(n + 1)
+    )
+    return family(n), rhs
+
+
+def _corrected(grid, source, family):
+    # correction route: take the constants straight off the
+    # connection-constant array between the two Sheffer pairs, built once
+    # per (m, r); order 1 at least, since Egf.t has no order-0 form and
+    # max_n = 0 still has one point
+    n_max = grid["max_n"]
+    order = max(n_max, 1)
+    for m, r in _mr(grid):
+        arr = connection_constants(source(order), _sheffer_pair_dowling(m, r, order))
+        for n in range(n_max + 1):
+            rhs = _lincomb((arr.entry(n, k), family(k)) for k in range(n + 1))
+            yield {"m": m, "r": r, "n": n}, dowling_poly(m, r, n), rhs
+
+
+@_identity("dowling-to-bernoulli",
+           "Dowling polynomials expanded in Bernoulli polynomials (literal stated form)",
+           "polynomial-in-u", _MRN, grid={"max_n": 6},
+           variant=partial(_corrected, source=_sheffer_pair_bernoulli, family=bernoulli_poly))
+def _dowling_to_bernoulli(m, r, n):
+    bnum = bernoulli_numbers(n + 1)
+    t_one = [_touchard_at_one(m, s) for s in range(n + 2)]
+    W = _entries("whitney2", m, r)
+
+    def const(k):
+        return Fraction(
+            sum(
+                comb(n + 1, l + 1)
+                * comb(l + 1, s + 1)
+                * W(n - l, k)
+                * Fraction(m) ** (l - s)
+                * t_one[s + 1]
+                * bnum[l - s]
+                for l in range(n - k + 1)
+                for s in range(l + 1)
+            ),
+            n + 1,
+        )
+
+    return dowling_poly(m, r, n), _lincomb((const(k), bernoulli_poly(k)) for k in range(n + 1))
+
+
+@_identity("dowling-to-euler",
+           "Dowling polynomials expanded in Euler polynomials (literal stated form)",
+           "polynomial-in-u", _MRN,
+           variant=partial(_corrected, source=_sheffer_pair_euler, family=euler_poly))
+def _dowling_to_euler(m, r, n):
+    t_one = [_touchard_at_one(m, s) for s in range(n + 1)]
+    W = _entries("whitney2", m, r)
+    rhs = _lincomb(
+        (
+            Fraction(1, 2) * sum(comb(n, l) * W(n - l, k) * t_one[l] for l in range(n - k + 1))
+            + Fraction(1, 2) * W(n, k),
+            euler_poly(k),
+        )
+        for k in range(n + 1)
+    )
+    return dowling_poly(m, r, n), rhs
+
+
+def _az_points(grid):
+    """(n, identity) in the order the row recurrences are visited."""
+    n_max = grid["max_n"]
+    firsts = [(n, "a-sequence-row") for n in range(n_max)]
+    return firsts + [(n, i) for n in range(1, n_max + 1) for i in ("g-shift", "column-scale")]
+
+
+def _az_sides(kind, c, m, r, n, identity):
+    """One of three row recurrences of the `kind` array at (m, r, n).
+
+    `c` holds the numbers of its A-sequence: Cauchy numbers for the
+    second kind, Bernoulli numbers for the first.  The other two
+    recurrences weight row l by m^(n-l), or by (-m)^(n-l) (n-l)! for the
+    first kind.
+    """
+    e = _entries(kind, m, r)
+
+    def weight(d):
+        return m ** d if kind == "whitney2" else (-m) ** d * factorial(d)
+
+    if identity == "a-sequence-row":
+        lhs = [e(n + 1, k + 1) for k in range(n + 1)]
+        rhs = [
+            sum(
+                Fraction(n + 1, k + 1) * comb(k + j, j) * c[j] * Fraction(m) ** j * e(n, k + j)
+                for j in range(n - k + 1)
+            )
+            for k in range(n + 1)
+        ]
+        return lhs, rhs
+    if identity == "column-scale":
+        lhs, top = [k * e(n, k) for k in range(n + 1)], n
+    elif kind == "whitney2":
+        lhs, top = [e(n, k) - r * e(n - 1, k) for k in range(n + 1)], n - 1
+    else:
+        lhs = [
+            e(n, k) + r * sum(comb(n - 1, l) * weight(n - l - 1) * e(l, k) for l in range(n))
+            for k in range(n + 1)
+        ]
+        top = n - 1
+    rhs = [
+        sum(comb(top, l - 1) * weight(n - l) * e(l - 1, k - 1) for l in range(max(k, 1), n + 1))
+        for k in range(n + 1)
+    ]
+    return lhs, rhs
+
+
+@_identity("az-recurrences-W2",
+           "three row recurrences of the second-kind array (Cauchy-number A-sequence)",
+           "numeric-at-points", bind={"kind": "whitney2", "numbers": cauchy_numbers})
+@_identity("az-recurrences-W1",
+           "three row recurrences of the first-kind array (Bernoulli-number A-sequence)",
+           "numeric-at-points", bind={"kind": "whitney1", "numbers": bernoulli_numbers})
+def _az_recurrences(grid, kind, numbers):
+    # stateless per point, but the A-sequence numbers are computed once
+    # per grid: the Cauchy numbers are not cached
+    sides = partial(_az_sides, kind, numbers(grid["max_n"]))
+    yield from _walk(sides, ("m", "r", (("n", "identity"), _az_points)))(grid)
+
+
+@_identity("orthogonality", "the two triangles are mutually inverse, entrywise",
+           "numeric-at-points", _MRN + (("direction", ("second-first", "first-second")),),
+           grid={"max_n": 12})
+def _orthogonality(m, r, n, direction):
+    W, w = _entries("whitney2", m, r), _entries("whitney1", m, r)
+    a, b = (W, w) if direction == "second-first" else (w, W)
+    lhs = [sum(a(n, i) * b(i, s) for i in range(s, n + 1)) for s in range(n + 1)]
+    return lhs, [1 if s == n else 0 for s in range(n + 1)]
+
+
+def _apply(e, f):
+    """The sequence n -> sum_s e(n, s) f[s]."""
+    return [sum(e(n, s) * f[s] for s in range(n + 1)) for n in range(len(f))]
+
+
+@_identity("inverse-relation",
+           "f = w * g holds exactly when g = W * f, on random integer sequences",
+           "numeric-at-points", grid={"max_n": 10, "seeds": (0, 1, 2)})
+def _inverse_relation(grid):
+    # both directions draw, in turn, from one generator per (m, r, seed)
+    n_max = grid["max_n"]
+    for m, r in _mr(grid):
+        W, w = _entries("whitney2", m, r), _entries("whitney1", m, r)
+        for seed in grid["seeds"]:
+            rng = random.Random("inverse-relation-%d-%s-%d" % (m, r, seed))
+            for direction, first, second in (
+                ("second-then-first", W, w),
+                ("first-then-second", w, W),
+            ):
+                f = [rng.randint(-9, 9) for _ in range(n_max + 1)]
+                params = {"m": m, "r": r, "seed": seed, "direction": direction}
+                yield params, _apply(second, _apply(first, f)), f
+
+
+@_identity("determinantal", "(-1)^n times the bordered first-kind determinant equals D_n(x)",
+           "polynomial-in-u", _MRN, grid={"m": (1, 2), "r": (0, 1, 2)})
+def _determinantal(m, r, n):
+    return dowling_poly(m, r, n), dowling_from_determinant(m, r, n)
+
+
+# -- runner --------------------------------------------------------------
 
 
 def registry_names() -> list:
     return sorted(REGISTRY)
+
+
+def _lookup(name) -> IdentityCheck:
+    check = REGISTRY.get(name)
+    if check is None:
+        raise UnknownIdentity(
+            "unknown identity %r; known: %s" % (name, ", ".join(registry_names()))
+        )
+    return check
+
+
+def _gate(name, grid):
+    """Reject bounds no walk can take: a negative max_n or max_h, or an m
+    that is not a positive int."""
+    for key in ("max_n", "max_h"):
+        if key in grid and (not isinstance(grid[key], int) or grid[key] < 0):
+            raise BadGrid(
+                "identity %r: %s must be a nonnegative integer, got %r" % (name, key, grid[key])
+            )
+    for m in grid.get("m", ()):
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+            raise BadGrid("identity %r: m must be a positive integer, got %r" % (name, m))
 
 
 def _render(v):
@@ -936,18 +691,22 @@ def run_check(name: str, overrides: dict = None) -> CheckReport:
 
     Overrides may replace any default grid key, e.g. {"max_n": 4,
     "m": (2,), "r": (3,)}.  Passing the parameters of a reported
-    counterexample as singleton overrides re-evaluates that point.
+    counterexample as singleton overrides re-evaluates that point.  An
+    unknown grid key, a negative max_n or max_h, an m that is not a
+    positive int, or a grid with no points raises BadGrid, which is a
+    ValueError; a check that compared nothing never passes.
     """
-    check = REGISTRY.get(name)
-    if check is None:
-        raise UnknownIdentity("no identity named %r; see registry_names()" % (name,))
+    check = _lookup(name)
     grid = dict(check.grid)
     for key, value in (overrides or {}).items():
         if key not in grid:
-            raise ValueError("identity %r has no grid key %r" % (name, key))
+            raise BadGrid("identity %r has no grid key %r" % (name, key))
         grid[key] = value
+    _gate(name, grid)
     start = time.perf_counter()
     points, fail = _scan(check.evaluate, grid)
+    if points == 0:
+        raise BadGrid("identity %r evaluated no grid points" % (name,))
     notes = []
     if check.flagged:
         # flagged entries always report both outcomes: the statement as
@@ -974,13 +733,13 @@ def run_check(name: str, overrides: dict = None) -> CheckReport:
 
 
 def run_all(overrides: dict = None, names=None) -> list:
-    """Run every registered check (sorted by name) and return the reports."""
+    """Run every registered check, or those named, sorted by name.
+
+    Each check takes only the overrides that name keys of its own grid.
+    """
     out = []
     for name in registry_names() if names is None else sorted(names):
-        applicable = None
-        if overrides:
-            applicable = {
-                k: v for k, v in overrides.items() if k in REGISTRY[name].grid
-            }
+        grid = _lookup(name).grid
+        applicable = {k: v for k, v in (overrides or {}).items() if k in grid}
         out.append(run_check(name, applicable))
     return out

@@ -45,32 +45,76 @@ SEQUENCE_KINDS = ("bernoulli-numbers", "euler-zero-values", "cauchy1", "bell")
 
 
 def _check_m(m):
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError("m must be a positive integer")
+
+
+# -- the row store ----------------------------------------------------
+# Rows of W and w for every (m, r) seen so far, as immutable tuples.  Row
+# n is built from row n-1 by the kind's step rule, so a row of any size
+# needs no recursion; rows are appended, never rebuilt.
+
+
+def _step_whitney2(m, r, n, prev):
+    """Row n of W from row n-1: W(n,k) = W(n-1,k-1) + (km+r) W(n-1,k)."""
+    return tuple(
+        (prev[k - 1] if k else 0) + (k * m + r) * prev[k] for k in range(n)
+    ) + prev[-1:]
+
+
+def _step_whitney1(m, r, n, prev):
+    """Row n of w from row n-1: w(n,k) = w(n-1,k-1) - (r+m(n-1)) w(n-1,k)."""
+    fac = r + m * (n - 1)
+    return tuple((prev[k - 1] if k else 0) - fac * prev[k] for k in range(n)) + prev[-1:]
+
+
+_STEPS = {"whitney2": _step_whitney2, "whitney1": _step_whitney1}
+_ROWS = {}  # (kind, m, r) -> [row 0, row 1, ...]
+
+
+def _rows(kind, m, r, n):
+    """The stored rows of `kind` at (m, r), grown until row n is among them."""
+    _check_m(m)
+    # bool and float compare equal to ints, so they would share (or
+    # poison) an exact entry; only int and Fraction are accepted
+    if isinstance(r, bool) or not isinstance(r, (int, Fraction)):
+        raise ValueError("r must be an exact rational (int or Fraction), got %r" % (r,))
+    rows = _ROWS.setdefault((kind, m, r), [(1,)])
+    step = _STEPS[kind]
+    while len(rows) <= n:
+        rows.append(step(m, r, len(rows), rows[-1]))
+    return rows
+
+
+def _row(kind, m, r, n) -> tuple:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _rows(kind, m, r, n)[n]
+
+
+def _entries(kind, m, r):
+    """Entry access e(n, k) to the stored `kind` triangle at (m, r).
+
+    Each lookup is O(1) once its row is stored; e(n, k) is 0 outside the
+    triangle (n < 0, k < 0 or k > n).
+    """
+    rows = _rows(kind, m, r, 0)
+
+    def entry(n, k):
+        if n < 0 or k < 0 or k > n:
+            return 0
+        if n >= len(rows):
+            _rows(kind, m, r, n)
+        return rows[n][k]
+
+    return entry
 
 
 # -- second kind ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _whitney2_row(m, r, n):
-    if n == 0:
-        return (1,)
-    prev = _whitney2_row(m, r, n - 1)
-    row = []
-    for k in range(n + 1):
-        v = prev[k - 1] if 1 <= k <= n else 0
-        if k <= n - 1:
-            v += (k * m + r) * prev[k]
-        row.append(v)
-    return tuple(row)
-
-
 def whitney2_row(m: int, r, n: int) -> list:
-    _check_m(m)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return list(_whitney2_row(m, r, n))
+    return list(_row("whitney2", m, r, n))
 
 
 def whitney2_row_egf(m: int, r, n: int) -> list:
@@ -92,26 +136,8 @@ def whitney2_row_egf(m: int, r, n: int) -> list:
 # -- first kind -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _whitney1_row(m, r, n):
-    if n == 0:
-        return (1,)
-    prev = _whitney1_row(m, r, n - 1)
-    fac = r + m * (n - 1)
-    row = []
-    for k in range(n + 1):
-        v = prev[k - 1] if 1 <= k <= n else 0
-        if k <= n - 1:
-            v -= fac * prev[k]
-        row.append(v)
-    return tuple(row)
-
-
 def whitney1_row(m: int, r, n: int) -> list:
-    _check_m(m)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return list(_whitney1_row(m, r, n))
+    return list(_row("whitney1", m, r, n))
 
 
 def whitney1_row_egf(m: int, r, n: int) -> list:
@@ -133,23 +159,8 @@ def whitney1_row_egf(m: int, r, n: int) -> list:
 # -- r = 0 specializations ---------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _m_stirling2_row(m, n):
-    if n == 0:
-        return (1,)
-    prev = _m_stirling2_row(m, n - 1)
-    row = []
-    for k in range(n + 1):
-        v = prev[k - 1] if 1 <= k <= n else 0
-        if k <= n - 1:
-            v += k * m * prev[k]
-        row.append(v)
-    return tuple(row)
-
-
 def m_stirling2_row(m: int, n: int) -> list:
-    _check_m(m)
-    return list(_m_stirling2_row(m, n))
+    return whitney2_row(m, 0, n)
 
 
 def m_stirling1_row(m: int, n: int) -> list:
@@ -163,7 +174,7 @@ def m_stirling1_row(m: int, n: int) -> list:
 
 
 def touchard_poly(m: int, n: int) -> Poly:
-    return Poly(m_stirling2_row(m, n))
+    return dowling_poly(m, 0, n)
 
 
 def touchard_inverse_poly(m: int, n: int) -> Poly:
@@ -171,7 +182,7 @@ def touchard_inverse_poly(m: int, n: int) -> Poly:
 
 
 def dowling_poly(m: int, r, n: int) -> Poly:
-    return Poly(whitney2_row(m, r, n))
+    return Poly(_row("whitney2", m, r, n))
 
 
 def dowling_inverse_poly(m: int, r, n: int) -> Poly:
@@ -290,12 +301,10 @@ class Triangle:
 
 
 def build_triangle(kind: str, m: int, r, n: int) -> Triangle:
-    if kind == "whitney2":
-        rows = tuple(tuple(whitney2_row(m, r, j)) for j in range(n + 1))
-    elif kind == "whitney1":
-        rows = tuple(tuple(whitney1_row(m, r, j)) for j in range(n + 1))
+    if kind in ("whitney2", "whitney1"):
+        rows = tuple(_rows(kind, m, r, n)[: n + 1])
     elif kind == "mstirling2":
-        rows, r = tuple(tuple(m_stirling2_row(m, j)) for j in range(n + 1)), None
+        rows, r = tuple(_rows("whitney2", m, 0, n)[: n + 1]), None
     elif kind == "mstirling1":
         rows, r = tuple(tuple(m_stirling1_row(m, j)) for j in range(n + 1)), None
     else:

@@ -28,6 +28,38 @@ from whitney.triangles import (
 GRID_M = (1, 2, 3)
 GRID_R = (0, 1, 2, 3)
 
+# points each registry entry compares on its default grid
+DEFAULT_GRID_SIZE = {
+    "az-recurrences-W1": 288,
+    "az-recurrences-W2": 288,
+    "bernoulli-to-dowling": 108,
+    "binomial-recurrences": 48,
+    "delta-ops": 48,
+    "determinantal": 54,
+    "dowling-recurrence": 108,
+    "dowling-shift": 432,
+    "dowling-shift-l1": 108,
+    "dowling-to-bernoulli": 84,
+    "dowling-to-euler": 108,
+    "dowling-umbral-inverse": 324,
+    "dowlstir": 108,
+    "egf-dowling": 48,
+    "egf-whitney2": 108,
+    "euler-to-dowling": 108,
+    "inverse-relation": 72,
+    "lemma-grammar-dowling": 108,
+    "orthogonality": 312,
+    "power-in-dowling": 216,
+    "r-shift-s": 432,
+    "sheffer-binomial-D": 108,
+    "spivey": 972,
+    "touchard-binomial": 27,
+    "umbral-inverse-T": 54,
+    "whitney-convolution": 972,
+    "whitney-r-shift": 432,
+    "whitney-recurrence": 108,
+}
+
 
 def _report(ok: bool, label: str):
     print("ACCEPTANCE %s: %s" % ("PASS" if ok else "FAIL", label))
@@ -91,6 +123,7 @@ def test_criterion_4_identity_harness_all_pass():
         any("literal statement" in note for note in rep.notes) for rep in flagged.values()
     )
     ok = ok and elapsed < 600.0
+    assert {rep.name: rep.grid_size for rep in reports} == DEFAULT_GRID_SIZE
     for rep in reports:
         line = "  %-24s %s grid=%d" % (rep.name, rep.status, rep.grid_size)
         if rep.notes:

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 
 from whitney import cli, identities
 from whitney.identities import CheckReport
@@ -163,3 +165,22 @@ def test_verify_all_reduced_grid(capsys):
     data = json.loads(out)
     assert [rep["name"] for rep in data] == identities.registry_names()
     assert all(rep["status"] == "pass" for rep in data)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "spivey", "--max-n", "-1"), "max_n must be a nonnegative integer"),
+        (("verify", "egf-dowling", "--max-n", "-1"), "max_n must be a nonnegative integer"),
+        (("verify", "spivey", "--m", "0"), "must be a positive integer"),
+        (("table", "whitney2", "--m", "0", "--n", "3"), "must be a positive integer"),
+        (("series", "whitney2-column", "--m", "0", "--order", "3"), "must be a positive integer"),
+        (("oracle-compare", "--n", "600", "--k", "1", "--m", "2", "--r", "0"), "WHITNEY_ORACLE_MAX_LABELS"),
+    ],
+    ids=["verify-negative-n", "verify-negative-n-egf", "verify-m0", "table-m0", "series-m0", "oracle-over-cap"],
+)
+def test_bad_input_exits_2_without_output(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from whitney import identities
-from whitney.errors import UnknownIdentity
+from whitney.errors import BadGrid, UnknownIdentity, WhitneyError
 from whitney.identities import (
     IdentityCheck,
     dowling_from_determinant,
@@ -58,6 +58,30 @@ def test_unknown_identity():
 def test_bad_grid_override():
     with pytest.raises(ValueError):
         run_check("orthogonality", {"max_h": 3})
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("spivey", {"max_n": -1}),
+        ("spivey", {"max_h": -2}),
+        ("egf-dowling", {"max_n": -1}),
+        ("spivey", {"m": (0,)}),
+        ("orthogonality", {"m": (2, 1.5)}),
+        ("spivey", {"r": ()}),
+        ("delta-ops", {"max_n": 0}),
+    ],
+)
+def test_grid_gate(name, overrides):
+    # negative bounds, a bad m and a grid of no points never report a pass
+    with pytest.raises(BadGrid) as info:
+        run_check(name, overrides)
+    assert isinstance(info.value, ValueError) and isinstance(info.value, WhitneyError)
+
+
+def test_unknown_identity_message():
+    with pytest.raises(UnknownIdentity, match="unknown identity"):
+        run_all(names=["no-such-identity"])
 
 
 @pytest.mark.parametrize("name", EXPECTED_NAMES)

@@ -234,6 +234,33 @@ def test_rational_r_everywhere_algebraic():
     assert whitney1_row(2, r, 2) == whitney1_row_egf(2, r, 2)
 
 
+
+# -- row store ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, m, r",
+    [(whitney2_row, 5, 7), (whitney1_row, 5, 7), (lambda m, r, n: dowling_poly(m, r, n).coeffs, 4, 9)],
+    ids=["whitney2_row", "whitney1_row", "dowling_poly"],
+)
+def test_cold_rows_at_600_need_no_recursion(build, m, r):
+    # (5, 7) and (4, 9) appear in no other test, so the rows start cold
+    row = build(m, r, 600)
+    assert len(row) == 601
+    assert row[600] == 1
+
+
+@pytest.mark.parametrize("bad_r", [0.1, 1.0, True, False])
+def test_store_rejects_inexact_r(bad_r):
+    # r = 1 and r = 0 rows are stored first: True, 1.0 and False compare
+    # equal to them and must still be refused
+    whitney2_row(2, 1, 3)
+    whitney2_row(2, 0, 3)
+    for call in (whitney2_row, whitney1_row, dowling_poly):
+        with pytest.raises(ValueError):
+            call(2, bad_r, 3)
+
+
 # -- container and export -------------------------------------------------
 
 
