@@ -45,6 +45,11 @@ def _positive_int(text):
     return value
 
 
+def _grid_rat(text):
+    value = parse_rat(text)  # an integral value stays an int, as integer grids report it
+    return value.numerator if value.denominator == 1 else value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="whitney",
@@ -79,7 +84,7 @@ def _build_parser():
     p.add_argument("name", help="registered identity name, or 'all'")
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--m", type=_positive_int, action="append", default=None)
-    p.add_argument("--r", type=int, action="append", default=None)
+    p.add_argument("--r", type=_grid_rat, action="append", default=None)
     p.add_argument("--format", choices=("json", "pretty"), default="json")
 
     p = sub.add_parser(
@@ -170,7 +175,7 @@ def _cmd_verify(args, out):
     else:
         reports = identities.run_all(overrides or None, names=[args.name])
     if args.format == "json":
-        out.write(json.dumps([rep.to_dict() for rep in reports]) + "\n")
+        out.write(json.dumps([rep.to_dict() for rep in reports], default=rat_str) + "\n")
     else:
         for rep in reports:
             out.write(
@@ -184,7 +189,8 @@ def _cmd_verify(args, out):
                 )
             )
             if rep.counterexample is not None:
-                out.write("  counterexample: %s\n" % json.dumps(rep.counterexample))
+                ce = json.dumps(rep.counterexample, default=rat_str)
+                out.write("  counterexample: %s\n" % ce)
     return 0 if all(rep.status == "pass" for rep in reports) else 1
 
 

@@ -32,11 +32,12 @@ from math import comb, factorial
 from .errors import BadGrid, UnknownIdentity
 from .grammar import XYPoly, derive_n, whitney_grammar
 from .operators import forward_difference_op, scaled_log_op, shift_op
-from .poly import Poly, stepped_product, xy_accumulate, xy_expand_sum, xy_product
+from .poly import Poly, stepped_product
 from .qformat import rat_str
 from .riordan import connection_constants
 from .series import Egf, expm1_scaled, log1p_scaled
 from .triangles import (
+    _columns,
     _entries,
     bernoulli_numbers,
     bernoulli_poly,
@@ -254,19 +255,12 @@ def _n_from_one(grid):
            "column k series of the second-kind triangle is e^{rz}((e^{mz}-1)/m)^k/k!",
            "numeric-at-points")
 def _egf_whitney2(grid):
-    # column k + 1 is column k times the step series, carried along k
     n_max = grid["max_n"]
     for m, r in _mr(grid):
         W = _entries("whitney2", m, r)
-        col = Egf.exp_linear(r, n_max)
-        step = expm1_scaled(m, n_max)
-        kfact = 1
-        for k in range(n_max + 1):
-            lhs = [col.a[n] / kfact for n in range(n_max + 1)]
+        cols = _columns(Egf.exp_linear(r, n_max), expm1_scaled(m, n_max), n_max)
+        for k, lhs in enumerate(cols):
             yield {"m": m, "r": r, "k": k}, lhs, [W(n, k) for n in range(n_max + 1)]
-            if k < n_max:
-                col = col.mul(step)
-                kfact *= k + 1
 
 
 @_identity("egf-dowling", "exp(rt + u(e^{mt}-1)/m) generates the Dowling row polynomials",
@@ -377,11 +371,16 @@ def _whitney_r_shift(m, r, s, n):
 @_identity("sheffer-binomial-D", "D_n(x+y) = sum_k C(n,k) D_k(x) T_{n-k}(y)",
            "bivariate-polynomial", _MRN)
 def _sheffer_binomial(m, r, n):
-    # at r = 0 the Dowling family is the Touchard family itself
-    rhs = {}
-    for k in range(n + 1):
-        xy_accumulate(rhs, xy_product(dowling_poly(m, r, k), touchard_poly(m, n - k)), comb(n, k))
-    return xy_expand_sum(dowling_poly(m, r, n)), rhs
+    # at r = 0 the Dowling family is the Touchard family itself; a key
+    # (i, j) is x^i y^j, x the Dowling and y the Touchard variable
+    d = [dowling_poly(m, r, k).coeffs for k in range(n + 1)]  # D_k has degree k
+    t = [touchard_poly(m, n - k).coeffs for k in range(n + 1)]  # T_{n-k} has degree n-k
+    lhs = XYPoly({(i, k - i): c * comb(k, i) for k, c in enumerate(d[n]) for i in range(k + 1)})
+    rhs = XYPoly({
+        (i, j): sum(comb(n, k) * d[k][i] * t[k][j] for k in range(i, n - j + 1))
+        for i in range(n + 1) for j in range(n - i + 1)
+    })
+    return lhs, rhs
 
 
 @_identity("umbral-inverse-T",
@@ -666,8 +665,6 @@ def _render(v):
         return [rat_str(c) for c in v.coeffs]
     if isinstance(v, XYPoly):
         return [[a, b, rat_str(c)] for (a, b), c in sorted(v.terms.items())]
-    if isinstance(v, dict):
-        return [[i, j, rat_str(c)] for (i, j), c in sorted(v.items())]
     if isinstance(v, (list, tuple)):
         return [_render(x) for x in v]
     return rat_str(v)

@@ -1,11 +1,38 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials over exact rationals, and the one product
+kernel that every truncated series product in the package goes through.
 
 Coefficients may be ``int`` or ``fractions.Fraction``; arithmetic never
 rounds.  Values are immutable and safe to share.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+
+from .qformat import exact
+
+
+def _convolve(a, b, n):
+    """Coefficients 0..n of the product of two ordinary coefficient sequences.
+
+    Each operand's denominators are cleared by their lcm, the double loop
+    multiplies plain integers, and each coefficient is divided once at the
+    end.  Integer inputs give integer outputs; otherwise every output is a
+    Fraction.
+    """
+    a, b = a[: n + 1], b[: n + 1]
+    da = lcm(*(x.denominator for x in a))
+    db = lcm(*(x.denominator for x in b))
+    ia = [x.numerator * (da // x.denominator) for x in a]
+    ib = [x.numerator * (db // x.denominator) for x in b]
+    out = [0] * (n + 1)
+    for i, x in enumerate(ia):
+        if x:
+            for j, y in enumerate(ib[: n + 1 - i], i):
+                out[j] += x * y
+    if all(type(x) is int for x in a) and all(type(y) is int for y in b):
+        return out
+    d = da * db
+    return [Fraction(c, d) for c in out]
 
 
 class Poly:
@@ -19,6 +46,8 @@ class Poly:
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
+        if not {int, Fraction}.issuperset(map(type, cs)):  # fast path for the usual types
+            cs = [exact(c) for c in cs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -67,15 +96,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly()
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
+            return Poly(_convolve(self.coeffs, other.coeffs, self.degree + other.degree))
         return Poly(c * other for c in self.coeffs)
 
     __rmul__ = __mul__
@@ -126,10 +147,15 @@ def stepped_product(n: int, m, shift=0) -> Poly:
     """(x - shift)(x - shift - m)...(x - shift - (n-1)m); the empty product is 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = Poly((1,))
+    cs = [1]
     for j in range(n):
-        out = out * Poly((-(shift + j * m), 1))
-    return out
+        # times (x - s): c_k <- c_{k-1} - s c_k, from the top down
+        s = shift + j * m
+        cs.append(cs[-1])
+        for k in range(len(cs) - 2, 0, -1):
+            cs[k] = cs[k - 1] - s * cs[k]
+        cs[0] = -s * cs[0]
+    return Poly(cs)
 
 
 def falling_basis_expand(p: Poly) -> list:
@@ -160,42 +186,3 @@ def from_falling_basis(cs) -> Poly:
             out = out + c * stepped_product(k, 1, 0)
     return out
 
-
-def xy_expand_sum(p: Poly) -> dict:
-    """Coefficients of p(x + y) as a map (i, j) -> coefficient of x^i y^j."""
-    out = {}
-    for k, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        for i in range(k + 1):
-            key = (i, k - i)
-            v = out.get(key, 0) + c * comb(k, i)
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return out
-
-
-def xy_product(px: Poly, py: Poly) -> dict:
-    """Coefficients of px(x) * py(y) as a map (i, j) -> coefficient."""
-    out = {}
-    for i, a in enumerate(px.coeffs):
-        if a == 0:
-            continue
-        for j, b in enumerate(py.coeffs):
-            if b == 0:
-                continue
-            out[(i, j)] = a * b
-    return out
-
-
-def xy_accumulate(acc: dict, term: dict, scale=1) -> dict:
-    """acc += scale * term, purging zero entries in place."""
-    for key, v in term.items():
-        w = acc.get(key, 0) + scale * v
-        if w:
-            acc[key] = w
-        else:
-            acc.pop(key, None)
-    return acc

@@ -1,6 +1,13 @@
-"""Rendering and parsing of exact rationals as "p/q" strings (integers as "p")."""
+"""Exact rationals: "p/q" strings (integers as "p") and the exactness gate."""
 
 from fractions import Fraction
+
+
+def exact(x):
+    """x itself if it is an int or a Fraction; a bool, float or other value raises ValueError."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValueError("expected an exact rational (int or Fraction), got %r" % (x,))
+    return x
 
 
 def rat_str(x) -> str:
@@ -11,4 +18,8 @@ def rat_str(x) -> str:
 
 
 def parse_rat(s: str) -> Fraction:
-    return Fraction(s.strip())
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        # a ValueError, so a command-line "1/0" is a usage error
+        raise ValueError("zero denominator in %r" % (s,)) from None

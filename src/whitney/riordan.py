@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInvertible, NotSolvable, OrderExceeded
-from .poly import Poly
-from .qformat import rat_str
-from .series import Egf, _ord_compose, _ord_inv, _ord_mul, expm1_scaled, log1p_scaled
+from .poly import Poly, _convolve
+from .qformat import exact, rat_str
+from .series import Egf, _ord_compose, expm1_scaled, log1p_scaled
 
 
 class ExpRiordan:
@@ -127,8 +127,8 @@ class OrdRiordan:
     __slots__ = ("g", "f", "_cols")
 
     def __init__(self, g, f):
-        g = tuple(Fraction(c) for c in g)
-        f = tuple(Fraction(c) for c in f)
+        g = tuple(Fraction(exact(c)) for c in g)
+        f = tuple(Fraction(exact(c)) for c in f)
         if not g or not f:
             raise ValueError("empty coefficient sequence")
         if f[0] != 0:
@@ -148,7 +148,7 @@ class OrdRiordan:
     def _col(self, k: int) -> list:
         col = self._cols.get(k)
         if col is None:
-            col = _ord_mul(self._col(k - 1), self.f, self.order)
+            col = _convolve(self._col(k - 1), self.f, self.order)
             self._cols[k] = col
         return col
 
@@ -172,7 +172,7 @@ class OrdRiordan:
         n = self.order
         if n < 1:
             raise OrderExceeded("array truncated too low for a Z-sequence")
-        inv_g = _ord_inv(self.g, n)
+        inv_g = Egf.from_ordinary(self.g).inv().ordinary()
         w = [-self.g[0] * c for c in inv_g]
         w[0] += 1  # w = 1 - g(0)/g, vanishes at 0
         hz = w[1:]  # (1 - g(0)/g) / z

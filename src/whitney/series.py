@@ -5,10 +5,16 @@ F(t) = sum_n a_n t^n / n!.  Every operation is exact; an operation on
 series of different orders truncates to the smaller order, so precision
 loss is always explicit in the result's ``order``.
 
+Every product of two series, here and in :mod:`whitney.riordan`, goes
+through the one convolution kernel ``_convolve`` in :mod:`whitney.poly`,
+on ordinary coefficients; the kernel has its own oracle test.  Inverse and
+composition are each written once: :meth:`Egf.inv` is the only reciprocal,
+and :meth:`Egf.compose` runs ``_ord_compose``.
+
 Reversion is implemented twice on purpose: :meth:`Egf.reverse` solves for
 the inverse term by term, and :meth:`Egf.reverse_lagrange` recomputes it
-from the Lagrange coefficient formula.  The second path exists solely to
-check the first.
+from the Lagrange coefficient formula.  The two share nothing but the
+kernel; the second path exists solely to check the first.
 """
 
 import json
@@ -16,27 +22,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import BadConstantTerm, NotInvertible, OrderExceeded
-from .qformat import parse_rat, rat_str
-
-
-def _ord_mul(a, b, n):
-    c = [Fraction(0)] * (n + 1)
-    for i in range(min(len(a) - 1, n) + 1):
-        ai = a[i]
-        if not ai:
-            continue
-        for j in range(min(len(b) - 1, n - i) + 1):
-            c[i + j] += ai * b[j]
-    return c
-
-
-def _ord_inv(a, n):
-    inv0 = 1 / Fraction(a[0])
-    out = [inv0] + [Fraction(0)] * n
-    for i in range(1, n + 1):
-        s = sum(a[j] * out[i - j] for j in range(1, min(i, len(a) - 1) + 1))
-        out[i] = -inv0 * s
-    return out
+from .poly import _convolve
+from .qformat import exact, parse_rat, rat_str
 
 
 def _ord_compose(f, g, n):
@@ -45,7 +32,7 @@ def _ord_compose(f, g, n):
     out[0] = Fraction(f[0])
     power = [Fraction(1)] + [Fraction(0)] * n
     for k in range(1, min(len(f) - 1, n) + 1):
-        power = _ord_mul(power, g, n)
+        power = _convolve(power, g, n)
         fk = f[k]
         if fk:
             for i in range(k, n + 1):
@@ -59,7 +46,7 @@ class Egf:
     __slots__ = ("a",)
 
     def __init__(self, coeffs):
-        a = tuple(Fraction(c) for c in coeffs)
+        a = tuple(Fraction(exact(c)) for c in coeffs)
         if not a:
             raise ValueError("an Egf needs at least its constant term")
         object.__setattr__(self, "a", a)
@@ -97,7 +84,7 @@ class Egf:
 
     @classmethod
     def from_ordinary(cls, coeffs) -> "Egf":
-        return cls(Fraction(c) * factorial(i) for i, c in enumerate(coeffs))
+        return cls(c * factorial(i) for i, c in enumerate(coeffs))
 
     # -- basics -------------------------------------------------------
 
@@ -155,10 +142,8 @@ class Egf:
 
     def mul(self, other: "Egf") -> "Egf":
         """Product of the underlying series: c_n = sum C(n,k) a_k b_{n-k}."""
-        n, a, b = self._common(other)
-        return Egf(
-            sum(comb(i, j) * a[j] * b[i - j] for j in range(i + 1)) for i in range(n + 1)
-        )
+        n = min(self.order, other.order)
+        return Egf.from_ordinary(_convolve(self.ordinary(), other.ordinary(), n))
 
     def inv(self) -> "Egf":
         """Reciprocal series; needs a nonzero constant term."""
@@ -203,19 +188,7 @@ class Egf:
         if inner.a[0] != 0:
             raise BadConstantTerm("composition needs inner constant term 0")
         n = min(self.order, inner.order)
-        g = inner.truncate(n)
-        out = [Fraction(0)] * (n + 1)
-        out[0] = self.a[0]
-        power = Egf.one(n)
-        kfact = 1
-        for k in range(1, n + 1):
-            power = power.mul(g)
-            kfact *= k
-            ck = self.a[k] / kfact
-            if ck:
-                for i in range(k, n + 1):
-                    out[i] += ck * power.a[i]
-        return Egf(out)
+        return Egf.from_ordinary(_ord_compose(self.ordinary(), inner.ordinary(), n))
 
     def shift_down(self) -> "Egf":
         """Divide by t; the constant term must be 0.  Order drops by one."""
@@ -257,11 +230,11 @@ class Egf:
         self._check_reversible()
         n_max = self.order
         f = self.ordinary()
-        q = _ord_inv([f[i] for i in range(1, n_max + 1)], n_max - 1)  # t/F
+        q = Egf.from_ordinary(f[1:]).inv().ordinary()  # t/F
         out = [Fraction(0)] * (n_max + 1)
         power = [Fraction(1)] + [Fraction(0)] * (n_max - 1)
         for n in range(1, n_max + 1):
-            power = _ord_mul(power, q, n_max - 1)
+            power = _convolve(power, q, n_max - 1)
             out[n] = power[n - 1] / n
         return Egf.from_ordinary(out)
 

@@ -29,7 +29,7 @@ from math import comb
 
 from .errors import WhitneyError
 from .poly import Poly, stepped_product
-from .qformat import parse_rat, rat_str
+from .qformat import exact, parse_rat, rat_str
 from .series import Egf, expm1_scaled, log1p_scaled
 
 TRIANGLE_KINDS = ("whitney2", "whitney1", "mstirling2", "mstirling1")
@@ -75,11 +75,9 @@ _ROWS = {}  # (kind, m, r) -> [row 0, row 1, ...]
 def _rows(kind, m, r, n):
     """The stored rows of `kind` at (m, r), grown until row n is among them."""
     _check_m(m)
-    # bool and float compare equal to ints, so they would share (or
-    # poison) an exact entry; only int and Fraction are accepted
-    if isinstance(r, bool) or not isinstance(r, (int, Fraction)):
-        raise ValueError("r must be an exact rational (int or Fraction), got %r" % (r,))
-    rows = _ROWS.setdefault((kind, m, r), [(1,)])
+    # a bool or float r would compare equal to, and so share or poison, an
+    # exact entry
+    rows = _ROWS.setdefault((kind, m, exact(r)), [(1,)])
     step = _STEPS[kind]
     while len(rows) <= n:
         rows.append(step(m, r, len(rows), rows[-1]))
@@ -117,20 +115,23 @@ def whitney2_row(m: int, r, n: int) -> list:
     return list(_row("whitney2", m, r, n))
 
 
-def whitney2_row_egf(m: int, r, n: int) -> list:
-    """Row n extracted from the column series e^{rz} ((e^{mz}-1)/m)^k / k!."""
-    _check_m(m)
-    base = Egf.exp_linear(r, n)
-    step = expm1_scaled(m, n)
-    row = []
-    col = base
+def _columns(col, step, n):
+    """EGF coefficients of the series col * step^k / k!, for k = 0..n in turn.
+
+    Column k + 1 is column k times the step series, carried along k.
+    """
     kfact = 1
     for k in range(n + 1):
-        row.append(col.a[n] / kfact)
+        yield [c / kfact for c in col.a]
         if k < n:
             col = col.mul(step)
             kfact *= k + 1
-    return row
+
+
+def whitney2_row_egf(m: int, r, n: int) -> list:
+    """Row n extracted from the column series e^{rz} ((e^{mz}-1)/m)^k / k!."""
+    _check_m(m)
+    return [col[n] for col in _columns(Egf.exp_linear(r, n), expm1_scaled(m, n), n)]
 
 
 # -- first kind -------------------------------------------------------
@@ -144,16 +145,7 @@ def whitney1_row_egf(m: int, r, n: int) -> list:
     """Row n straight from the defining column series."""
     _check_m(m)
     base = Egf.one_plus_ct(m, n).pow(-Fraction(r) / m) if n >= 1 else Egf.one(0)
-    logpart = log1p_scaled(m, n)
-    row = []
-    col = base
-    kfact = 1
-    for k in range(n + 1):
-        row.append(col.a[n] / kfact)
-        if k < n:
-            col = col.mul(logpart)
-            kfact *= k + 1
-    return row
+    return [col[n] for col in _columns(base, log1p_scaled(m, n), n)]
 
 
 # -- r = 0 specializations ---------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,26 @@ def test_verify_single_pass(capsys):
     assert data[0]["counterexample"] is None
 
 
+def test_verify_rational_r(capsys):
+    code, out, _ = run_cli(capsys, "verify", "orthogonality", "--r", "1/2", "--max-n", "3")
+    assert code == 0
+    assert json.loads(out)[0]["status"] == "pass"
+
+
+@pytest.mark.parametrize("given, rendered", [("1/2", "1/2"), ("6/2", 3)])
+def test_verify_rational_r_counterexample(capsys, monkeypatch, given, rendered):
+    # a non-integer r renders as "p/q"; an integral one stays a JSON integer
+    def failing(grid):
+        for r in grid["r"]:
+            yield {"m": 1, "r": r, "n": 0}, Fraction(1), Fraction(2)
+
+    check = identities.REGISTRY["orthogonality"]
+    monkeypatch.setitem(identities.REGISTRY, "orthogonality", replace(check, evaluate=failing))
+    code, out, _ = run_cli(capsys, "verify", "orthogonality", "--r", given)
+    assert code == 1
+    assert json.loads(out)[0]["counterexample"]["params"] == {"m": 1, "r": rendered, "n": 0}
+
+
 def test_verify_pretty(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "determinantal", "--max-n", "3", "--format", "pretty"
@@ -176,8 +197,13 @@ def test_verify_all_reduced_grid(capsys):
         (("table", "whitney2", "--m", "0", "--n", "3"), "must be a positive integer"),
         (("series", "whitney2-column", "--m", "0", "--order", "3"), "must be a positive integer"),
         (("oracle-compare", "--n", "600", "--k", "1", "--m", "2", "--r", "0"), "WHITNEY_ORACLE_MAX_LABELS"),
+        (("verify", "spivey", "--r", "1/0"), "argument --r"),
+        (("table", "whitney2", "--r", "1/0", "--n", "3"), "argument --r"),
     ],
-    ids=["verify-negative-n", "verify-negative-n-egf", "verify-m0", "table-m0", "series-m0", "oracle-over-cap"],
+    ids=[
+        "verify-negative-n", "verify-negative-n-egf", "verify-m0", "table-m0", "series-m0",
+        "oracle-over-cap", "verify-r-zero-denominator", "table-r-zero-denominator",
+    ],
 )
 def test_bad_input_exits_2_without_output(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

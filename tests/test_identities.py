@@ -154,6 +154,15 @@ def test_counterexample_capture_and_reevaluation(monkeypatch):
     assert again.counterexample["params"]["n"] <= ce["params"]["n"]
 
 
+def test_sheffer_binomial_rendered_sides():
+    # keys are (power of x, power of y), x the Dowling variable:
+    # D_2(x + y) = (x + y)^2 + 8(x + y) + 9 at m = 2, r = 3
+    want = [[0, 0, "9"], [0, 1, "8"], [0, 2, "1"], [1, 0, "8"], [1, 1, "2"], [2, 0, "1"]]
+    lhs, rhs = identities._sheffer_binomial(2, 3, 2)
+    assert identities._render(lhs) == want
+    assert identities._render(rhs) == want
+
+
 def test_run_all_subset_and_overrides():
     reports = run_all({"max_n": 3, "max_h": 3}, names=["spivey", "orthogonality"])
     assert [rep.name for rep in reports] == ["orthogonality", "spivey"]

@@ -8,9 +8,6 @@ from whitney.poly import (
     falling_basis_expand,
     from_falling_basis,
     stepped_product,
-    xy_accumulate,
-    xy_expand_sum,
-    xy_product,
 )
 from whitney.triangles import whitney2_row
 
@@ -90,13 +87,3 @@ def test_stepped_product_shift_matches_taylor_shift():
 def test_stepped_product_rejects_negative():
     with pytest.raises(ValueError):
         stepped_product(-1, 1, 0)
-
-
-def test_xy_helpers():
-    p = Poly([0, 0, 1])  # x^2
-    assert xy_expand_sum(p) == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
-    assert xy_product(Poly([0, 1]), Poly([1, 1])) == {(1, 0): 1, (1, 1): 1}
-    acc = {}
-    xy_accumulate(acc, {(0, 0): 1}, 2)
-    xy_accumulate(acc, {(0, 0): -2})
-    assert acc == {}
