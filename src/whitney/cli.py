@@ -124,6 +124,9 @@ def _cmd_table(args, out):
 def _cmd_poly(args, out):
     if args.n < 0:
         raise WhitneyError("--n must be nonnegative")
+    # the top degree first, so the Bernoulli and Euler numbers are inverted
+    # once and every lower degree reads a prefix of them
+    triangles.family(args.kind, args.n, m=args.m, r=args.r)
     polys = [
         triangles.family(args.kind, j, m=args.m, r=args.r) for j in range(args.n + 1)
     ]

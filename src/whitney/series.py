@@ -7,19 +7,21 @@ loss is always explicit in the result's ``order``.
 
 Every product of two series, here and in :mod:`whitney.riordan`, goes
 through the one convolution kernel ``_convolve`` in :mod:`whitney.poly`,
-on ordinary coefficients; the kernel has its own oracle test.  Inverse and
-composition are each written once: :meth:`Egf.inv` is the only reciprocal,
-and :meth:`Egf.compose` runs ``_ord_compose``.
+on ordinary coefficients; the kernel has its own oracle test.
+:meth:`Egf.inv`, :meth:`Egf.exp` and :meth:`Egf.log` run one lower-triangular
+recurrence, ``_triangular``, whose inner sums are plain integers over one
+running denominator; :meth:`Egf.inv` is the only reciprocal.
+:meth:`Egf.compose` runs ``_ord_compose``.
 
-Reversion is implemented twice on purpose: :meth:`Egf.reverse` solves for
-the inverse term by term, and :meth:`Egf.reverse_lagrange` recomputes it
-from the Lagrange coefficient formula.  The two share nothing but the
-kernel; the second path exists solely to check the first.
+Reversion is implemented twice on purpose: :meth:`Egf.reverse` runs Newton
+iteration, doubling its precision each round, and :meth:`Egf.reverse_lagrange`
+recomputes the inverse from the Lagrange coefficient formula.  The two share
+nothing but ``_convolve``; the second path exists solely to check the first.
 """
 
 import json
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .errors import BadConstantTerm, NotInvertible, OrderExceeded
 from .poly import _convolve
@@ -27,16 +29,43 @@ from .qformat import exact, parse_rat, rat_str
 
 
 def _ord_compose(f, g, n):
-    # g[0] must be 0; powers of g gain one order of vanishing each step
-    out = [Fraction(0)] * (n + 1)
-    out[0] = Fraction(f[0])
-    power = [Fraction(1)] + [Fraction(0)] * n
-    for k in range(1, min(len(f) - 1, n) + 1):
-        power = _convolve(power, g, n)
-        fk = f[k]
-        if fk:
-            for i in range(k, n + 1):
-                out[i] += fk * power[i]
+    # Horner, f_0 + g (f_1 + g (f_2 + ...)); g[0] must be 0, so the value
+    # at depth k is multiplied by g^k and matters only through order n - k
+    top = min(len(f) - 1, n)
+    out = [Fraction(f[top])]
+    for k in range(top - 1, -1, -1):
+        out = _convolve(out, g, n - k)
+        out[0] += f[k]
+    return out + [Fraction(0)] * (n + 1 - len(out))
+
+
+def _triangular(x, u, d):
+    """out_i = (x_i - sum_{j=1..i} C(i,j) u_j out_{i-j}) / d_i for each index of x.
+
+    The one recurrence under inv, exp and log.  x and u are cleared of
+    their denominators once; the outputs so far are kept as integer
+    numerators over one running lcm, rescaled only when a new output's
+    denominator does not divide it, so every inner sum is a plain int and
+    each output is built as a single Fraction.
+    """
+    n = len(x) - 1
+    u = u[: n + 1]
+    du, dx = lcm(*(c.denominator for c in u)), lcm(*(c.denominator for c in x))
+    iu = [c.numerator * (du // c.denominator) for c in u]
+    ix = [c.numerator * (dx // c.denominator) for c in x]
+    out, nums, den = [], [], 1  # out[k] == nums[k] / den
+    live = []  # the j <= i with u_j != 0, so a sparse u such as 1 + ct costs little
+    for i in range(n + 1):
+        s = sum(comb(i, j) * iu[j] * nums[i - j] for j in live)
+        c = Fraction((ix[i] * du * den - s * dx) * d[i].denominator, dx * du * den * d[i].numerator)
+        if den % c.denominator:
+            scale = lcm(den, c.denominator) // den
+            nums = [v * scale for v in nums]
+            den *= scale
+        nums.append(c.numerator * (den // c.denominator))
+        out.append(c)
+        if i < n and iu[i + 1]:
+            live.append(i + 1)
     return out
 
 
@@ -150,32 +179,28 @@ class Egf:
         if self.a[0] == 0:
             raise NotInvertible("reciprocal needs a nonzero constant term")
         n = self.order
-        out = [1 / self.a[0]] + [Fraction(0)] * n
-        for i in range(1, n + 1):
-            s = sum(comb(i, j) * self.a[j] * out[i - j] for j in range(1, i + 1))
-            out[i] = -s / self.a[0]
-        return Egf(out)
+        return Egf(_triangular([1] + [0] * n, self.a, [self.a[0]] * (n + 1)))
 
     def exp(self) -> "Egf":
-        """exp of the series; the constant term must be 0."""
+        """exp of the series; the constant term must be 0.
+
+        t E' = t F' E, so n e_n = sum_j C(n,j) (j a_j) e_{n-j}.
+        """
         if self.a[0] != 0:
             raise BadConstantTerm("exp needs constant term 0")
         n = self.order
-        out = [Fraction(1)] + [Fraction(0)] * n
-        for i in range(n):
-            out[i + 1] = sum(comb(i, k) * self.a[k + 1] * out[i - k] for k in range(i + 1))
-        return Egf(out)
+        slopes = [-j * c for j, c in enumerate(self.a)]
+        return Egf(_triangular([1] + [0] * n, slopes, [1] + list(range(1, n + 1))))
 
     def log(self) -> "Egf":
-        """log of the series; the constant term must be 1."""
+        """log of the series; the constant term must be 1.
+
+        L' solves F L' = F', and the derivative of an EGF is its shift.
+        """
         if self.a[0] != 1:
             raise BadConstantTerm("log needs constant term 1")
         n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n):
-            s = sum(comb(i, k) * out[k + 1] * self.a[i - k] for k in range(i))
-            out[i + 1] = self.a[i + 1] - s
-        return Egf(out)
+        return Egf([0] + _triangular(self.a[1:], self.a, [1] * n))
 
     def pow(self, q) -> "Egf":
         """(series)^q for rational q, via exp(q log); constant term must be 1."""
@@ -205,20 +230,23 @@ class Egf:
             raise NotInvertible("reversion needs a(0) = 0 and a(1) != 0")
 
     def reverse(self) -> "Egf":
-        """Compositional inverse, solved order by order.
+        """Compositional inverse by Newton iteration (Brent and Kung, 1978).
 
-        With G known through order n-1 and g_n pending, the coefficient of
-        t^n in self(G) is linear in g_n with slope f_1, so each step is one
-        exact division.
+        If G is right through order p, the step G <- G - (F(G) - t) G' is
+        right through order 2p: G' stands in for 1/F'(G), which it equals
+        to within order p - 1, so no reciprocal is needed.
         """
         self._check_reversible()
-        n_max = self.order
-        f = list(self.ordinary())
-        g = [Fraction(0), 1 / f[1]]
-        for n in range(2, n_max + 1):
-            g.append(Fraction(0))
-            h = _ord_compose(f, g, n)[n]
-            g[n] = -h / f[1]
+        n = self.order
+        f = self.ordinary()
+        g, p = [Fraction(0), 1 / f[1]], 1
+        while p < n:
+            p = min(2 * p, n)
+            g += [Fraction(0)] * (p + 1 - len(g))
+            err = _ord_compose(f, g, p)
+            err[1] -= 1
+            step = _convolve(err, [(i + 1) * g[i + 1] for i in range(p)], p)
+            g = [gi - si for gi, si in zip(g, step)]
         return Egf.from_ordinary(g)
 
     def reverse_lagrange(self) -> "Egf":

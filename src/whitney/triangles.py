@@ -24,8 +24,7 @@ algebra allows it; only the enumeration oracles require an integer.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .errors import WhitneyError
 from .poly import Poly, stepped_product
@@ -181,26 +180,30 @@ def dowling_inverse_poly(m: int, r, n: int) -> Poly:
     return stepped_product(n, m, r)
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_numbers(n):
-    e = Egf.exp_linear(1, n + 1) - Egf.one(n + 1)
-    return (e.shift_down()).inv().a
+# The longest Bernoulli and Euler tuples computed so far.  Truncation
+# commutes with inv, so every shorter request is served as a slice.
+_PREFIXES = {}
+
+
+def _prefix(name, n, build):
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    have = _PREFIXES.get(name, ())
+    if len(have) <= n:
+        have = _PREFIXES[name] = build(n)
+    return have[: n + 1]
 
 
 def bernoulli_numbers(n: int) -> list:
     """B_0..B_n from the series t/(e^t - 1); B_1 = -1/2 in this convention."""
-    return list(_bernoulli_numbers(n))
-
-
-@lru_cache(maxsize=None)
-def _euler_zero_values(n):
-    half = Fraction(1, 2)
-    return (half * (Egf.exp_linear(1, n) + Egf.one(n))).inv().a
+    return list(_prefix(
+        "bernoulli", n, lambda n: (Egf.exp_linear(1, n + 1) - Egf.one(n + 1)).shift_down().inv().a))
 
 
 def euler_zero_values(n: int) -> list:
     """Values E_0(0)..E_n(0) from the series 2/(e^t + 1)."""
-    return list(_euler_zero_values(n))
+    return list(_prefix(
+        "euler", n, lambda n: (Fraction(1, 2) * (Egf.exp_linear(1, n) + Egf.one(n))).inv().a))
 
 
 def bernoulli_poly(n: int) -> Poly:
@@ -219,7 +222,12 @@ def cauchy_numbers(n: int) -> list:
     Computed twice: by exact integration of the expanded product and as
     the coefficients of t/ln(1+t).  The two routes must agree.
     """
-    by_integral = [stepped_product(j, 1, 0).integral_01() for j in range(n + 1)]
+    by_integral, cs, span = [], [1], 1
+    for j in range(n + 1):
+        if j:  # times (x - (j-1)): c_k <- c_{k-1} - (j-1) c_k
+            cs = [lo - (j - 1) * hi for lo, hi in zip([0] + cs, cs + [0])]
+        span = lcm(span, j + 1)  # the integral of x^k over [0, 1] is 1/(k+1)
+        by_integral.append(Fraction(sum(c * (span // (k + 1)) for k, c in enumerate(cs)), span))
     series = Egf.one_plus_ct(1, n + 1).log().shift_down().inv()
     by_series = list(series.a)
     if by_integral != by_series:

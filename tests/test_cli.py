@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 
-from whitney import cli, identities
+from whitney import cli, identities, triangles
 from whitney.identities import CheckReport
 from whitney.qformat import parse_rat, rat_str
+from whitney.series import Egf
 from whitney.triangles import rows_from_csv, whitney1_row
 
 
@@ -55,6 +56,17 @@ def test_poly_bernoulli(capsys):
     code, out, _ = run_cli(capsys, "poly", "bernoulli", "--n", "2", "--format", "csv")
     assert code == 0
     assert out.splitlines()[2] == "1/6,-1,1"
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "euler"])
+def test_poly_inverts_its_numbers_once(capsys, monkeypatch, kind):
+    # every lower degree is served from the top degree's prefix
+    orders, real_inv = [], Egf.inv
+    monkeypatch.setattr(triangles, "_PREFIXES", {})
+    monkeypatch.setattr(Egf, "inv", lambda self: orders.append(self.order) or real_inv(self))
+    code, out, _ = run_cli(capsys, "poly", kind, "--n", "12", "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 13
+    assert orders == [12]
 
 
 def test_series_json(capsys):

@@ -1,5 +1,6 @@
-"""The one product kernel, checked against sums written out here, and the
-exactness gate that every stored coefficient passes."""
+"""The one product kernel and the inv/exp/log recurrence, checked against
+sums written out here; Newton reversion, checked against the Lagrange
+route; and the exactness gate that every stored coefficient passes."""
 
 from fractions import Fraction
 from math import comb, prod
@@ -64,6 +65,57 @@ def test_reverse_agrees_with_lagrange(a1, rest):
     rev = f.reverse()
     assert rev == f.reverse_lagrange()
     assert f.compose(rev) == Egf.t(f.order)
+
+
+def fraction_inv(a):
+    out = [1 / a[0]]
+    for i in range(1, len(a)):
+        out.append(-sum(comb(i, j) * a[j] * out[i - j] for j in range(1, i + 1)) / a[0])
+    return out
+
+
+def fraction_exp(a):
+    out = [Fraction(1)]
+    for i in range(len(a) - 1):
+        out.append(sum(comb(i, k) * a[k + 1] * out[i - k] for k in range(i + 1)))
+    return out
+
+
+def fraction_log(a):
+    out = [Fraction(0)]
+    for i in range(len(a) - 1):
+        out.append(a[i + 1] - sum(comb(i, k) * out[k + 1] * a[i - k] for k in range(i)))
+    return out
+
+
+tails = st.lists(rats, max_size=15)
+units = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=7)).filter(bool)
+
+
+@FEW
+@given(units, tails)
+def test_inv_is_the_fraction_recurrence(a0, rest):
+    x = Egf([a0] + rest)
+    assert list(x.inv().a) == fraction_inv([Fraction(a0)] + [Fraction(c) for c in rest])
+    assert x.inv() * x == Egf.one(x.order)
+
+
+@FEW
+@given(tails)
+def test_exp_and_log_are_the_fraction_recurrences(rest):
+    a = [Fraction(c) for c in rest]
+    assert list(Egf([0] + a).exp().a) == fraction_exp([Fraction(0)] + a)
+    assert list(Egf([1] + a).log().a) == fraction_log([Fraction(1)] + a)
+
+
+@pytest.mark.parametrize("order", range(1, 34))
+def test_newton_reverse_at_every_order(order):
+    # orders 1..33 cross the precision doublings at 2^k and 2^k +- 1
+    f = Egf([0, Fraction(-3, 2), 2, Fraction(1, 3), -1, 5] + [Fraction(1, k) for k in range(1, order - 4)])
+    f = f.truncate(order)
+    rev = f.reverse()
+    assert rev == f.reverse_lagrange()
+    assert f.compose(rev) == Egf.t(order)
 
 
 @pytest.mark.parametrize(

@@ -209,6 +209,12 @@ def test_euler_polynomials():
         assert euler_poly(n)(0) == euler_zero_values(n)[n]
 
 
+@pytest.mark.parametrize("numbers", [bernoulli_numbers, euler_zero_values])
+def test_classical_numbers_refuse_negative_n(numbers):
+    with pytest.raises(ValueError):
+        numbers(-1)
+
+
 def test_cauchy_numbers_dual_route():
     got = cauchy_numbers(6)
     assert got[:4] == [1, Fraction(1, 2), Fraction(-1, 6), Fraction(1, 4)]
