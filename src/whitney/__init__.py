@@ -7,6 +7,7 @@ structure enumeration -- and an identity harness checks every stated
 relation between the families in exact rational arithmetic.
 """
 
+from . import enumeration, triangles
 from .enumeration import (
     count_augmented_partitions,
     count_r_stirling_pairs,
@@ -81,3 +82,12 @@ from .triangles import (
 )
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty the process-wide caches: the triangle row store, the longest
+    Bernoulli and Euler prefixes, and the cached enumeration counts."""
+    triangles._ROWS.clear()
+    triangles._PREFIXES.clear()
+    enumeration._pair_count.cache_clear()
+    enumeration._augmented_count.cache_clear()

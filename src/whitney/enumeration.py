@@ -22,6 +22,19 @@ block with a specific color, or landing in a specific composition slot are
 separate branches.  The walk therefore touches every structure exactly
 once; it never multiplies by closed-form factors.
 
+Each walk visits only the structures with exactly the requested k blocks.
+Blocks are only ever opened, never removed, and each label still to be
+placed can open at most one, so a feasibility bound prunes the rest: a
+branch that opens a block runs only while fewer than k are open, and a
+branch that joins a block or takes a slot runs only while the open blocks
+plus the labels after this one reach k.  A pruned subtree holds no
+structure with k blocks, so every counted structure is still reached by
+exactly one branch, and the listers yield the same structures in the same
+order as an unpruned walk filtered to k.  The bound is an inequality on
+the walk's own state, not the recurrence, and the two models keep separate
+walks.  A request therefore costs about W(n, k) leaves, not the row sum
+over all k; counts are cached per (n, k, m, r).
+
 Instances are capped at n + r labels (default 12, override with the
 WHITNEY_ORACLE_MAX_LABELS environment variable) because the structure
 count grows super-exponentially.
@@ -47,6 +60,10 @@ def _max_labels() -> int:
 
 
 def _guard(n, k, m, r):
+    for name, v in (("n", n), ("k", k), ("m", m), ("r", r)):
+        # a bool would walk as 0 or 1, and a float would fail inside the walk
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError("%s must be an integer, got %r" % (name, v))
     if m < 1:
         raise ValueError("m must be a positive integer")
     if n < 0 or k < 0 or r < 0:
@@ -60,21 +77,21 @@ def _guard(n, k, m, r):
 
 
 @lru_cache(maxsize=None)
-def _pair_count_rows(n, m, r):
-    counts = [0] * (n + 1)
-    # element i: open a block / join block b with color c / take slot s
+def _pair_count(n, k, m, r):
+    # element i: open a block / join block b with color c / take slot s;
+    # the bound prunes every branch that cannot end with exactly k blocks
     def place(i, nblocks):
         if i > n:
-            counts[nblocks] += 1
-            return
-        place(i + 1, nblocks + 1)
-        for _joined in range(nblocks * m):
-            place(i + 1, nblocks)
-        for _slot in range(r):
-            place(i + 1, nblocks)
+            return 1 if nblocks == k else 0
+        found = place(i + 1, nblocks + 1) if nblocks < k else 0
+        if nblocks + n - i >= k:
+            for _joined in range(nblocks * m):
+                found += place(i + 1, nblocks)
+            for _slot in range(r):
+                found += place(i + 1, nblocks)
+        return found
 
-    place(1, 0)
-    return tuple(counts)
+    return place(1, 0)
 
 
 def count_whitney_pairs(n: int, k: int, m: int, r: int) -> int:
@@ -82,17 +99,17 @@ def count_whitney_pairs(n: int, k: int, m: int, r: int) -> int:
     _guard(n, k, m, r)
     if k > n:
         return 0
-    return _pair_count_rows(n, m, r)[k]
+    return _pair_count(n, k, m, r)
 
 
 def whitney_pair_count_row(n: int, m: int, r: int) -> list:
-    """Counts for every block count k = 0..n at once."""
+    """Counts for every block count k = 0..n, one walk per k."""
     _guard(n, 0, m, r)
-    return list(_pair_count_rows(n, m, r))
+    return [count_whitney_pairs(n, k, m, r) for k in range(n + 1)]
 
 
 def iter_whitney_pairs(n, k, m, r, order=None):
-    """Yield each pair as (blocks, slots).
+    """Yield each pair with exactly k blocks as (blocks, slots).
 
     ``blocks`` is a frozenset of blocks, each block a frozenset of
     (element, color) with colors in 1..m; ``slots`` is an r-tuple of
@@ -116,39 +133,43 @@ def iter_whitney_pairs(n, k, m, r, order=None):
                 )
             return
         e = labels[i]
-        blocks.append([(e, 1)])
-        yield from place(i + 1)
-        blocks.pop()
-        for b in blocks:
-            for c in range(1, m + 1):
-                b.append((e, c))
-                yield from place(i + 1)
-                b.pop()
-        for s in slots:
-            s.append(e)
+        if len(blocks) < k:
+            blocks.append([(e, 1)])
             yield from place(i + 1)
-            s.pop()
+            blocks.pop()
+        if len(blocks) + n - 1 - i >= k:
+            for b in blocks:
+                for c in range(1, m + 1):
+                    b.append((e, c))
+                    yield from place(i + 1)
+                    b.pop()
+            for s in slots:
+                s.append(e)
+                yield from place(i + 1)
+                s.pop()
 
     yield from place(0)
 
 
 @lru_cache(maxsize=None)
-def _augmented_count_rows(n, m, r):
-    counts = [0] * (n + 1)
-    # element: join special block s / join non-special block b, coloring
-    # the displaced maximum with one of m colors / open a new block
-    def place(i, nblocks):
-        if i > n:
-            counts[nblocks] += 1
-            return
-        for _special in range(r):
-            place(i + 1, nblocks)
-        for _joined in range(nblocks * m):
-            place(i + 1, nblocks)
-        place(i + 1, nblocks + 1)
+def _augmented_count(n, k, m, r):
+    # element e: join special block s / join non-special block b, coloring
+    # the displaced maximum with one of m colors / open a new block; the
+    # bound prunes every branch that cannot end with exactly k blocks
+    def place(e, nblocks):
+        if e > r + n:
+            return 1 if nblocks == k else 0
+        found = 0
+        if nblocks + r + n - e >= k:
+            for _special in range(r):
+                found += place(e + 1, nblocks)
+            for _joined in range(nblocks * m):
+                found += place(e + 1, nblocks)
+        if nblocks < k:
+            found += place(e + 1, nblocks + 1)
+        return found
 
-    place(1, 0)
-    return tuple(counts)
+    return place(r + 1, 0)
 
 
 def count_augmented_partitions(n: int, k: int, m: int, r: int) -> int:
@@ -160,16 +181,17 @@ def count_augmented_partitions(n: int, k: int, m: int, r: int) -> int:
     _guard(n, k, m, r)
     if k > n:
         return 0
-    return _augmented_count_rows(n, m, r)[k]
+    return _augmented_count(n, k, m, r)
 
 
 def augmented_count_row(n: int, m: int, r: int) -> list:
+    """Counts for every block count k = 0..n, one walk per k."""
     _guard(n, 0, m, r)
-    return list(_augmented_count_rows(n, m, r))
+    return [count_augmented_partitions(n, k, m, r) for k in range(n + 1)]
 
 
 def iter_augmented_partitions(n, k, m, r):
-    """Yield each augmented partition as (special, blocks).
+    """Yield each augmented partition with k non-special blocks as (special, blocks).
 
     ``special`` is an r-tuple (indexed by special label 1..r) of frozensets
     of attached non-special labels; ``blocks`` is a frozenset of
@@ -189,21 +211,23 @@ def iter_augmented_partitions(n, k, m, r):
                     frozenset(frozenset(b) for b in blocks),
                 )
             return
-        for s in special:
-            s.append(e)
-            yield from place(e + 1)
-            s.pop()
-        for b in blocks:
-            prev, _zero = b[-1]
-            for c in range(1, m + 1):
-                b[-1] = (prev, c)
-                b.append((e, 0))
+        if len(blocks) + r + n - e >= k:
+            for s in special:
+                s.append(e)
                 yield from place(e + 1)
-                b.pop()
-                b[-1] = (prev, 0)
-        blocks.append([(e, 0)])
-        yield from place(e + 1)
-        blocks.pop()
+                s.pop()
+            for b in blocks:
+                prev, _zero = b[-1]
+                for c in range(1, m + 1):
+                    b[-1] = (prev, c)
+                    b.append((e, 0))
+                    yield from place(e + 1)
+                    b.pop()
+                    b[-1] = (prev, 0)
+        if len(blocks) < k:
+            blocks.append([(e, 0)])
+            yield from place(e + 1)
+            blocks.pop()
 
     yield from place(r + 1)
 

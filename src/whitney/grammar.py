@@ -35,6 +35,14 @@ class XYPoly:
                 del d[(a, b)]
         object.__setattr__(self, "terms", d)
 
+    @classmethod
+    def _merged(cls, d) -> "XYPoly":
+        """From a dict whose keys are already merged and valid; only zero
+        coefficients are dropped."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", {key: c for key, c in d.items() if c})
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("XYPoly is immutable")
 
@@ -60,12 +68,8 @@ class XYPoly:
     def __add__(self, other: "XYPoly") -> "XYPoly":
         d = dict(self.terms)
         for key, c in other.terms.items():
-            v = d.get(key, 0) + c
-            if v:
-                d[key] = v
-            else:
-                d.pop(key, None)
-        return XYPoly(d)
+            d[key] = d.get(key, 0) + c
+        return XYPoly._merged(d)
 
     def __sub__(self, other: "XYPoly") -> "XYPoly":
         return self + (-1) * other
@@ -77,8 +81,8 @@ class XYPoly:
                 for (a2, b2), c2 in other.terms.items():
                     key = (a1 + a2, b1 + b2)
                     d[key] = d.get(key, 0) + c1 * c2
-            return XYPoly(d)
-        return XYPoly({key: c * other for key, c in self.terms.items()})
+            return XYPoly._merged(d)
+        return XYPoly._merged({key: c * other for key, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -134,7 +138,7 @@ def derive_once(g: Grammar, p: XYPoly) -> XYPoly:
             for (da, db), e in g.x_image.terms.items():
                 key = (a + da, b - 1 + db)
                 d[key] = d.get(key, 0) + b * c * e
-    return XYPoly(d)
+    return XYPoly._merged(d)
 
 
 def derive_n(g: Grammar, p: XYPoly, n: int) -> XYPoly:

@@ -143,11 +143,15 @@ class Poly:
         return "Poly(%r)" % (list(self.coeffs),)
 
 
-def stepped_product(n: int, m, shift=0) -> Poly:
-    """(x - shift)(x - shift - m)...(x - shift - (n-1)m); the empty product is 1."""
+def _stepped_coeffs(n: int, m, shift=0):
+    """Coefficients of the stepped product of its first j factors, j = 0..n.
+
+    Yields one list, stepped in place by each factor; copy it to keep a row.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     cs = [1]
+    yield cs
     for j in range(n):
         # times (x - s): c_k <- c_{k-1} - s c_k, from the top down
         s = shift + j * m
@@ -155,6 +159,12 @@ def stepped_product(n: int, m, shift=0) -> Poly:
         for k in range(len(cs) - 2, 0, -1):
             cs[k] = cs[k - 1] - s * cs[k]
         cs[0] = -s * cs[0]
+        yield cs
+
+
+def stepped_product(n: int, m, shift=0) -> Poly:
+    """(x - shift)(x - shift - m)...(x - shift - (n-1)m); the empty product is 1."""
+    *_, cs = _stepped_coeffs(n, m, shift)
     return Poly(cs)
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import WhitneyError
-from .poly import Poly, stepped_product
+from .poly import Poly, _stepped_coeffs, stepped_product
 from .qformat import exact, parse_rat, rat_str
 from .series import Egf, expm1_scaled, log1p_scaled
 
@@ -98,10 +98,11 @@ def _entries(kind, m, r):
     rows = _rows(kind, m, r, 0)
 
     def entry(n, k):
+        nonlocal rows
         if n < 0 or k < 0 or k > n:
             return 0
-        if n >= len(rows):
-            _rows(kind, m, r, n)
+        if n >= len(rows):  # after a clear_caches() the store has a new list
+            rows = _rows(kind, m, r, n)
         return rows[n][k]
 
     return entry
@@ -306,7 +307,9 @@ def build_triangle(kind: str, m: int, r, n: int) -> Triangle:
     elif kind == "mstirling2":
         rows, r = tuple(_rows("whitney2", m, 0, n)[: n + 1]), None
     elif kind == "mstirling1":
-        rows, r = tuple(tuple(m_stirling1_row(m, j)) for j in range(n + 1)), None
+        # row j is the product of the first j factors: one list, stepped
+        _check_m(m)
+        rows, r = tuple(tuple(cs) for cs in _stepped_coeffs(n, m, 0)), None
     else:
         raise ValueError("unknown triangle kind %r" % (kind,))
     return Triangle(kind, m, r, rows)

@@ -1,0 +1,60 @@
+"""clear_caches() empties every process-wide cache, and every family is
+rebuilt from cold with identical values and types."""
+
+from fractions import Fraction
+
+from whitney import clear_caches, enumeration, triangles
+from whitney.triangles import (
+    FAMILY_KINDS,
+    SEQUENCE_KINDS,
+    TRIANGLE_KINDS,
+    build_triangle,
+    classical_seq,
+    family,
+    whitney1_row,
+    whitney2_row,
+)
+
+
+def snapshot():
+    out = []
+    for kind in TRIANGLE_KINDS:
+        for m in (1, 2, 3):
+            for r in (0, 3, Fraction(1, 2)):
+                out.append(build_triangle(kind, m, r, 9).rows)
+    for kind in FAMILY_KINDS:
+        out.append([family(kind, n, m=2, r=Fraction(-5, 3)).coeffs for n in range(9)])
+    for kind in SEQUENCE_KINDS:
+        out.extend(classical_seq(kind, n) for n in (14, 3))
+    for n, m, r in ((5, 2, 1), (6, 1, 3)):
+        out.append(enumeration.whitney_pair_count_row(n, m, r))
+        out.append(enumeration.augmented_count_row(n, m, r))
+    return repr(out)  # repr tells an int from an equal Fraction
+
+
+def test_clear_caches_empties_every_cache():
+    snapshot()
+    clear_caches()
+    assert triangles._ROWS == {}
+    assert triangles._PREFIXES == {}
+    assert enumeration._pair_count.cache_info().currsize == 0
+    assert enumeration._augmented_count.cache_info().currsize == 0
+
+
+def test_every_family_is_identical_after_a_clear():
+    warm = snapshot()
+    clear_caches()
+    assert snapshot() == warm
+    clear_caches()
+    whitney2_row(2, 1, 40)  # a longer row first, then everything cold
+    assert snapshot() == warm
+
+
+def test_entry_access_survives_a_clear():
+    W = triangles._entries("whitney2", 2, 3)
+    assert W(4, 2) == whitney2_row(2, 3, 4)[2]
+    clear_caches()
+    assert W(12, 5) == whitney2_row(2, 3, 12)[5]
+    w = triangles._entries("whitney1", 1, 0)
+    clear_caches()
+    assert w(7, 3) == whitney1_row(1, 0, 7)[3]

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +27,22 @@ def test_xypoly_normalization():
     assert mono(1, 0) * mono(0, 3, 2) == mono(1, 3, 2)
     with pytest.raises(ValueError):
         XYPoly({(-1, 0): 1})
+
+
+def test_xypoly_operations_keep_the_normal_form():
+    # sums, products and derivatives build their dict already merged; the
+    # result must be what the checked public constructor would store
+    p = XYPoly({(0, 1): 2, (1, 0): Fraction(1, 2), (2, 3): -1})
+    q = XYPoly({(0, 1): -2, (1, 1): 3})
+    results = [p + q, q + p, p - p, p * q, p * (q - q), 0 * p, q * Fraction(2, 3),
+               derive_once(whitney_grammar(2), p), derive_once(stirling_grammar(), q)]
+    for got in results:
+        assert got == XYPoly(got.terms)
+        assert list(got.terms) == list(XYPoly(got.terms).terms)
+        assert all(c != 0 for c in got.terms.values())
+    assert p + q == XYPoly({(1, 0): Fraction(1, 2), (2, 3): -1, (1, 1): 3})
+    assert (p - p).terms == {} and not (0 * p)
+    assert derive_once(stirling_grammar(), mono(1, 1) - mono(1, 1)) == XYPoly.zero()
 
 
 def test_whitney_rule_on_y():

@@ -137,6 +137,19 @@ def test_m_stirling1_values():
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
+def test_m_stirling1_table_rows(m):
+    # row j of the table is a snapshot of one stepped list after j factors;
+    # it must equal the row built alone and the product multiplied out here
+    rows = build_triangle("mstirling1", m, None, 20).rows
+    product = Poly((1,))
+    for j, row in enumerate(rows):
+        assert row == tuple(m_stirling1_row(m, j)) == product.coeffs
+        assert all(type(v) is int for v in row)
+        product = product * Poly((-j * m, 1))
+    assert len(rows) == 21
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_scaling_law(m):
     for n in range(13):
         plain2 = m_stirling2_row(1, n)
