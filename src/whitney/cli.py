@@ -14,7 +14,6 @@ enumeration requests beyond the configured label cap).
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import enumeration, identities, riordan, triangles
 from .errors import InstanceTooLarge, WhitneyError
@@ -45,11 +44,6 @@ def _positive_int(text):
     return value
 
 
-def _grid_rat(text):
-    value = parse_rat(text)  # an integral value stays an int, as integer grids report it
-    return value.numerator if value.denominator == 1 else value
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="whitney",
@@ -60,23 +54,23 @@ def _build_parser():
     p = sub.add_parser("table", help="print triangle rows 0..n")
     p.add_argument("kind", choices=TABLE_KINDS)
     p.add_argument("--m", type=_positive_int, default=1)
-    p.add_argument("--r", type=parse_rat, default=Fraction(0))
+    p.add_argument("--r", type=parse_rat, default=0)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty")
 
     p = sub.add_parser("poly", help="print family members of degree 0..n")
     p.add_argument("kind", choices=POLY_KINDS)
     p.add_argument("--m", type=_positive_int, default=1)
-    p.add_argument("--r", type=parse_rat, default=Fraction(0))
+    p.add_argument("--r", type=parse_rat, default=0)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty")
 
     p = sub.add_parser("series", help="print EGF coefficients to a given order")
     p.add_argument("kind", choices=SERIES_KINDS)
     p.add_argument("--m", type=_positive_int, default=1)
-    p.add_argument("--r", type=parse_rat, default=Fraction(0))
+    p.add_argument("--r", type=parse_rat, default=0)
     p.add_argument("--k", type=int, default=0, help="column index for column series")
-    p.add_argument("--u", type=parse_rat, default=Fraction(1), help="evaluation point")
+    p.add_argument("--u", type=parse_rat, default=1, help="evaluation point")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json", "pretty"), default="json")
 
@@ -84,7 +78,7 @@ def _build_parser():
     p.add_argument("name", help="registered identity name, or 'all'")
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--m", type=_positive_int, action="append", default=None)
-    p.add_argument("--r", type=_grid_rat, action="append", default=None)
+    p.add_argument("--r", type=parse_rat, action="append", default=None)
     p.add_argument("--format", choices=("json", "pretty"), default="json")
 
     p = sub.add_parser(
@@ -98,41 +92,20 @@ def _build_parser():
     return parser
 
 
-def _emit_rows(rows, fmt, meta, out):
-    if fmt == "csv":
-        for row in rows:
-            out.write(",".join(rat_str(v) for v in row) + "\n")
-    elif fmt == "json":
-        payload = dict(meta)
-        payload["rows"] = [[rat_str(v) for v in row] for row in rows]
-        out.write(json.dumps(payload) + "\n")
-    else:
-        width = max((len(rat_str(v)) for row in rows for v in row), default=1)
-        for row in rows:
-            out.write(" ".join(rat_str(v).rjust(width) for v in row) + "\n")
-
-
-def _cmd_table(args, out):
+def _cmd_rows(args, out):
+    """table and poly: rows 0..n of a triangle, or of a family's coefficient triangle."""
     if args.n < 0:
         raise WhitneyError("--n must be nonnegative")
     tri = triangles.build_triangle(args.kind, args.m, args.r, args.n)
-    meta = {"kind": tri.kind, "m": tri.m, "r": None if tri.r is None else rat_str(tri.r)}
-    _emit_rows(tri.rows, args.format, meta, out)
-    return 0
-
-
-def _cmd_poly(args, out):
-    if args.n < 0:
-        raise WhitneyError("--n must be nonnegative")
-    # the top degree first, so the Bernoulli and Euler numbers are inverted
-    # once and every lower degree reads a prefix of them
-    triangles.family(args.kind, args.n, m=args.m, r=args.r)
-    polys = [
-        triangles.family(args.kind, j, m=args.m, r=args.r) for j in range(args.n + 1)
-    ]
-    rows = [[p.coeff(i) for i in range(j + 1)] for j, p in enumerate(polys)]
-    meta = {"kind": args.kind, "m": args.m, "r": rat_str(args.r)}
-    _emit_rows(rows, args.format, meta, out)
+    if args.format == "csv":
+        out.write(tri.to_csv())
+    elif args.format == "json":
+        out.write(tri.to_json() + "\n")
+    else:
+        cells = [[rat_str(v) for v in row] for row in tri.rows]
+        width = max(len(c) for row in cells for c in row)
+        for row in cells:
+            out.write(" ".join(c.rjust(width) for c in row) + "\n")
     return 0
 
 
@@ -144,12 +117,12 @@ def _series_for(args):
     if args.kind == "dowling-egf":
         rt = Egf([0, args.r] + [0] * (args.order - 1))
         return (rt + args.u * expm1_scaled(args.m, args.order)).exp()
+    if not 0 <= args.k <= args.order:
+        raise WhitneyError("--k must be between 0 and --order")
     if args.kind == "whitney2-column":
         arr = riordan.whitney2_array(args.m, args.r, args.order)
     else:  # whitney1-column
         arr = riordan.whitney1_array(args.m, args.r, args.order)
-    if args.k > args.order:
-        raise WhitneyError("--k must not exceed --order")
     return Egf([arr.entry(n, args.k) for n in range(args.order + 1)])
 
 
@@ -158,7 +131,7 @@ def _cmd_series(args, out):
     if args.format == "json":
         out.write(series.to_json() + "\n")
     elif args.format == "csv":
-        out.write(",".join(rat_str(c) for c in series.a) + "\n")
+        out.write(series.to_csv())
     else:
         for n, c in enumerate(series.a):
             out.write("%d: %s\n" % (n, rat_str(c)))
@@ -211,7 +184,7 @@ def _cmd_oracle_compare(args, out):
         "pairs": pairs,
         "mr": enumeration.count_augmented_partitions(n, k, m, r),
     }
-    agree = len({Fraction(v) for v in values.values()}) == 1
+    agree = len(set(values.values())) == 1
     out.write(
         "%s %s\n"
         % (
@@ -229,8 +202,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     handlers = {
-        "table": _cmd_table,
-        "poly": _cmd_poly,
+        "table": _cmd_rows,
+        "poly": _cmd_rows,
         "series": _cmd_series,
         "verify": _cmd_verify,
         "oracle-compare": _cmd_oracle_compare,

@@ -8,7 +8,7 @@ rounds.  Values are immutable and safe to share.
 from fractions import Fraction
 from math import comb, lcm
 
-from .qformat import exact
+from .qformat import canonical, exact
 
 
 def _convolve(a, b, n):
@@ -150,6 +150,7 @@ def _stepped_coeffs(n: int, m, shift=0):
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    shift = canonical(shift)  # an integral shift steps in int arithmetic
     cs = [1]
     yield cs
     for j in range(n):

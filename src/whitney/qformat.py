@@ -1,4 +1,6 @@
-"""Exact rationals: "p/q" strings (integers as "p") and the exactness gate."""
+"""Exact rationals: the exactness gate, the canonical form (an int when the
+denominator is 1, so integral values compute in ints whatever type they
+arrived as), and "p/q" strings (integers as "p")."""
 
 from fractions import Fraction
 
@@ -10,16 +12,25 @@ def exact(x):
     return x
 
 
+def canonical(x):
+    """The exact value x as an int if its denominator is 1, else as a Fraction."""
+    x = exact(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def rat_str(x) -> str:
+    if type(x) is int:
+        return str(x)
     f = Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)
     return "%d/%d" % (f.numerator, f.denominator)
 
 
-def parse_rat(s: str) -> Fraction:
+def parse_rat(s: str):
+    """The canonical value of a "p/q" or "p" string."""
     try:
-        return Fraction(s.strip())
+        return canonical(Fraction(s.strip()))
     except ZeroDivisionError:
         # a ValueError, so a command-line "1/0" is a usage error
         raise ValueError("zero denominator in %r" % (s,)) from None

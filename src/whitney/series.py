@@ -268,6 +268,9 @@ class Egf:
 
     # -- serialization ------------------------------------------------
 
+    def to_csv(self) -> str:
+        return ",".join(rat_str(c) for c in self.a) + "\n"
+
     def to_json_dict(self) -> dict:
         return {"order": self.order, "egf_coeffs": [rat_str(c) for c in self.a]}
 

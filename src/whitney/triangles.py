@@ -19,6 +19,7 @@ Polynomial families (by kind string)
 
 The parameter r is accepted as an arbitrary exact rational everywhere the
 algebra allows it; only the enumeration oracles require an integer.
+``build_triangle`` is the one dispatch on triangle and family kind strings.
 """
 
 import json
@@ -28,7 +29,7 @@ from math import comb, lcm
 
 from .errors import WhitneyError
 from .poly import Poly, _stepped_coeffs, stepped_product
-from .qformat import exact, parse_rat, rat_str
+from .qformat import canonical, parse_rat, rat_str
 from .series import Egf, expm1_scaled, log1p_scaled
 
 TRIANGLE_KINDS = ("whitney2", "whitney1", "mstirling2", "mstirling1")
@@ -75,8 +76,9 @@ def _rows(kind, m, r, n):
     """The stored rows of `kind` at (m, r), grown until row n is among them."""
     _check_m(m)
     # a bool or float r would compare equal to, and so share or poison, an
-    # exact entry
-    rows = _ROWS.setdefault((kind, m, exact(r)), [(1,)])
+    # exact entry; an integral Fraction r is keyed and stepped as an int
+    r = canonical(r)
+    rows = _ROWS.setdefault((kind, m, r), [(1,)])
     step = _STEPS[kind]
     while len(rows) <= n:
         rows.append(step(m, r, len(rows), rows[-1]))
@@ -207,14 +209,17 @@ def euler_zero_values(n: int) -> list:
         "euler", n, lambda n: (Fraction(1, 2) * (Egf.exp_linear(1, n) + Egf.one(n))).inv().a))
 
 
+def _appell_row(nums, n):
+    """Coefficients of sum_k C(n,k) a_{n-k} x^k, from the numbers a_0..a_n."""
+    return tuple(comb(n, k) * nums[n - k] for k in range(n + 1))
+
+
 def bernoulli_poly(n: int) -> Poly:
-    b = bernoulli_numbers(n)
-    return Poly(comb(n, k) * b[n - k] for k in range(n + 1))
+    return Poly(_appell_row(bernoulli_numbers(n), n))
 
 
 def euler_poly(n: int) -> Poly:
-    e = euler_zero_values(n)
-    return Poly(comb(n, k) * e[n - k] for k in range(n + 1))
+    return Poly(_appell_row(euler_zero_values(n), n))
 
 
 def cauchy_numbers(n: int) -> list:
@@ -242,21 +247,9 @@ def bell_numbers(n: int) -> list:
 
 def family(kind: str, n: int, m: int = None, r=None) -> Poly:
     """Degree-n member of the named polynomial family."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if kind == "touchard":
-        return touchard_poly(m, n)
-    if kind == "touchard-inverse":
-        return touchard_inverse_poly(m, n)
-    if kind == "dowling":
-        return dowling_poly(m, r, n)
-    if kind == "dowling-inverse":
-        return dowling_inverse_poly(m, r, n)
-    if kind == "bernoulli":
-        return bernoulli_poly(n)
-    if kind == "euler":
-        return euler_poly(n)
-    raise ValueError("unknown family kind %r" % (kind,))
+    if kind not in FAMILY_KINDS:
+        raise ValueError("unknown family kind %r" % (kind,))
+    return Poly(build_triangle(kind, m, r, n).rows[n])
 
 
 def classical_seq(kind: str, n: int) -> list:
@@ -279,11 +272,11 @@ def classical_seq(kind: str, n: int) -> list:
 
 @dataclass(frozen=True)
 class Triangle:
-    """Lower-triangular rows 0..N of one triangle kind, with parameters."""
+    """Lower-triangular rows 0..N of one triangle or family kind, with parameters."""
 
     kind: str
     m: int
-    r: object  # exact rational; None for the r-free kinds
+    r: object  # exact rational as given; None for the r-free triangle kinds
     rows: tuple
 
     def to_csv(self) -> str:
@@ -302,17 +295,27 @@ class Triangle:
 
 
 def build_triangle(kind: str, m: int, r, n: int) -> Triangle:
-    if kind in ("whitney2", "whitney1"):
-        rows = tuple(_rows(kind, m, r, n)[: n + 1])
-    elif kind == "mstirling2":
-        rows, r = tuple(_rows("whitney2", m, 0, n)[: n + 1]), None
-    elif kind == "mstirling1":
+    """Rows 0..n of a triangle kind, or of a family's coefficient triangle
+    (row j: the degree-j member; a family reports r whether it uses r or not)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if kind in ("whitney2", "whitney1", "dowling"):
+        rows = _rows("whitney1" if kind == "whitney1" else "whitney2", m, r, n)[: n + 1]
+    elif kind in ("mstirling2", "touchard"):
+        rows = _rows("whitney2", m, 0, n)[: n + 1]
+    elif kind in ("mstirling1", "touchard-inverse", "dowling-inverse"):
         # row j is the product of the first j factors: one list, stepped
         _check_m(m)
-        rows, r = tuple(tuple(cs) for cs in _stepped_coeffs(n, m, 0)), None
+        shift = r if kind == "dowling-inverse" else 0
+        rows = [tuple(cs) for cs in _stepped_coeffs(n, m, shift)]
+    elif kind in ("bernoulli", "euler"):
+        # one read of the numbers serves every row: row j uses a_0..a_j
+        nums = bernoulli_numbers(n) if kind == "bernoulli" else euler_zero_values(n)
+        rows = [_appell_row(nums, j) for j in range(n + 1)]
     else:
-        raise ValueError("unknown triangle kind %r" % (kind,))
-    return Triangle(kind, m, r, rows)
+        raise ValueError("unknown kind %r" % (kind,))
+    r = None if kind.startswith("mstirling") or r is None else canonical(r)
+    return Triangle(kind, m, r, tuple(rows))
 
 
 def rows_from_csv(text: str) -> list:

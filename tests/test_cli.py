@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from whitney import cli, identities, triangles
 from whitney.identities import CheckReport
+from whitney.poly import stepped_product
 from whitney.qformat import parse_rat, rat_str
 from whitney.series import Egf
 from whitney.triangles import rows_from_csv, whitney1_row
@@ -211,10 +213,13 @@ def test_verify_all_reduced_grid(capsys):
         (("oracle-compare", "--n", "600", "--k", "1", "--m", "2", "--r", "0"), "WHITNEY_ORACLE_MAX_LABELS"),
         (("verify", "spivey", "--r", "1/0"), "argument --r"),
         (("table", "whitney2", "--r", "1/0", "--n", "3"), "argument --r"),
+        (("series", "whitney2-column", "--k", "-1", "--order", "4"), "--k must be between 0 and --order"),
+        (("series", "whitney1-column", "--k", "-1", "--order", "4"), "--k must be between 0 and --order"),
     ],
     ids=[
         "verify-negative-n", "verify-negative-n-egf", "verify-m0", "table-m0", "series-m0",
         "oracle-over-cap", "verify-r-zero-denominator", "table-r-zero-denominator",
+        "series-w2-negative-k", "series-w1-negative-k",
     ],
 )
 def test_bad_input_exits_2_without_output(capsys, argv, message):
@@ -222,3 +227,28 @@ def test_bad_input_exits_2_without_output(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("kind", ["touchard-inverse", "dowling-inverse"])
+@pytest.mark.parametrize("r", ["0", "3", "1/2", "-5/3"])
+@pytest.mark.parametrize("m", [1, 3])
+def test_poly_inverse_rows_are_stepped_products(capsys, kind, r, m):
+    n = 9
+    code, out, _ = run_cli(capsys, "poly", kind, "--m", str(m), "--r=" + r, "--n", str(n), "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["kind"], data["m"], data["r"]) == (kind, m, r)
+    shift = parse_rat(r) if kind == "dowling-inverse" else 0
+    for j, row in enumerate(data["rows"]):
+        p = stepped_product(j, m, shift)
+        assert [parse_rat(v) for v in row] == [p.coeff(i) for i in range(j + 1)]
+    assert len(data["rows"]) == n + 1
+
+
+def test_poly_dowling_inverse_steps_one_list(capsys):
+    # one stepped list for all degrees: O(n^2), not a product per degree
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "poly", "dowling-inverse", "--m", "3", "--r", "2", "--n", "210", "--format", "csv")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and len(out.splitlines()) == 211
+    assert elapsed < 2.0
