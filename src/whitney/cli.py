@@ -13,6 +13,7 @@ enumeration requests beyond the configured label cap).
 
 import argparse
 import json
+import re
 import sys
 
 from . import enumeration, identities, riordan, triangles
@@ -42,6 +43,23 @@ def _positive_int(text):
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer, got %r" % (text,))
     return value
+
+
+# argparse takes only "-<digits>" and "-<digits>.<digits>" for negative
+# numbers, so "--r -5/3" would read "-5/3" as an option
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _join_negative_values(argv):
+    """argv with each "--opt -5/3" pair written "--opt=-5/3"."""
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and _NEGATIVE_VALUE.match(arg):
+            out[-1] = prev + "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _build_parser():
@@ -198,7 +216,7 @@ def _cmd_oracle_compare(args, out):
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     handlers = {

@@ -8,6 +8,7 @@ triangle row by row, which this module exposes directly.
 """
 
 from .errors import StrayMonomial
+from .qformat import canonical
 
 # variable order is (y, x); exponent keys are (a, b) for y^a x^b
 
@@ -165,7 +166,12 @@ def row_from_derivative(p: XYPoly, m: int, r: int, n: int) -> list:
 
 
 def whitney_row_from_grammar(m: int, r: int, n: int) -> list:
-    """Row n of the second-kind triangle, grown by iterated derivation on y x^r."""
+    """Row n of the second-kind triangle, grown by iterated derivation on y x^r.
+
+    An integral r is taken as an int, so the row's types do not depend on
+    how r arrived.
+    """
+    r = canonical(r)
     if m < 1:
         raise ValueError("m must be a positive integer")
     if r < 0 or n < 0:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .errors import BadGrid, UnknownIdentity
 from .grammar import XYPoly, derive_n, whitney_grammar
@@ -80,17 +80,22 @@ def _mr(grid):
 
 
 def exact_det(rows) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination.
+    """Determinant by fraction-free Bareiss elimination on plain ints.
 
-    Intermediate divisions are exact over an integral domain, so the
-    result is exact for integer or rational entries alike.
+    Each row is first scaled by the lcm of its denominators, so every
+    entry is an int and every Bareiss division is exact; the determinant
+    of the scaled matrix is then divided by the product of the scales.
     """
-    a = [[Fraction(v) for v in row] for row in rows]
+    a, scale = [], 1
+    for row in rows:
+        row = [v if type(v) is int else Fraction(v) for v in row]
+        d = lcm(*[v.denominator for v in row])  # a generator here raised peak RSS
+        a.append([v.numerator * (d // v.denominator) for v in row])
+        scale *= d
     n = len(a)
     if n == 0:
         return Fraction(1)
-    sign = 1
-    prev = Fraction(1)
+    sign, prev = 1, 1
     for i in range(n - 1):
         if a[i][i] == 0:
             for j in range(i + 1, n):
@@ -100,12 +105,13 @@ def exact_det(rows) -> Fraction:
                     break
             else:
                 return Fraction(0)
-        for j in range(i + 1, n):
+        pivot, top = a[i][i], a[i]
+        for row in a[i + 1:]:
+            lead = row[i]
             for k in range(i + 1, n):
-                a[j][k] = (a[j][k] * a[i][i] - a[j][i] * a[i][k]) / prev
-            a[j][i] = Fraction(0)
-        prev = a[i][i]
-    return sign * a[n - 1][n - 1]
+                row[k] = (row[k] * pivot - lead * top[k]) // prev
+        prev = pivot
+    return Fraction(sign * a[n - 1][n - 1], scale)
 
 
 def dowling_from_determinant(m, r, n) -> Poly:
@@ -303,30 +309,27 @@ def _dowling_shift(m, r, l, n):
 
 
 @_identity("spivey", "D(n+h,u) = sum_{k,j} C(n,k) D(k,u) W(h,j) u^j (jm)^{n-k}",
-           "polynomial-in-u", ("m", "r", "n", "h"), grid={"max_h": 8})
-def _spivey(m, r, n, h):
-    W = _entries("whitney2", m, r)
-    rhs = _lincomb(
-        (comb(n, k) * W(h, j) * (j * m) ** (n - k), dowling_poly(m, r, k).mul_xpow(j))
-        for k in range(n + 1)
-        for j in range(h + 1)
-    )
-    return dowling_poly(m, r, n + h), rhs
-
-
+           "polynomial-in-u", grid={"max_h": 8}, bind={"entrywise": False})
 @_identity("whitney-convolution", "W(n+h,s) = sum_{k,j} C(n,k) W(h,j) W(k,s-j) (jm)^{n-k}",
-           "numeric-at-points", ("m", "r", "n", "h"), grid={"max_h": 8})
-def _whitney_convolution(m, r, n, h):
-    W = _entries("whitney2", m, r)
-    rhs = [
-        sum(
-            comb(n, k) * W(h, j) * W(k, s - j) * (j * m) ** (n - k)
-            for k in range(n + 1)
-            for j in range(h + 1)
-        )
-        for s in range(n + h + 1)
-    ]
-    return whitney2_row(m, r, n + h), rhs
+           "numeric-at-points", grid={"max_h": 8}, bind={"entrywise": True})
+def _spivey(grid, entrywise):
+    # the printed double sum, summed over k first: inner[j] = sum_k C(n,k)
+    # (jm)^{n-k} D_k, whose u^t coefficient is sum_k C(n,k) (jm)^{n-k} W(k,t),
+    # does not depend on h and is formed once per (m, r, n)
+    max_h = grid["max_h"]
+    for m, r in _mr(grid):
+        W = _entries("whitney2", m, r)
+        for n in range(grid["max_n"] + 1):
+            d = [dowling_poly(m, r, k) for k in range(n + 1)]
+            inner = [_lincomb((comb(n, k) * (j * m) ** (n - k), d[k]) for k in range(n + 1))
+                     for j in range(max_h + 1)]
+            for h in range(max_h + 1):
+                rhs = _lincomb((W(h, j), inner[j].mul_xpow(j)) for j in range(h + 1))
+                if entrywise:
+                    lhs, rhs = whitney2_row(m, r, n + h), [rhs.coeff(s) for s in range(n + h + 1)]
+                else:
+                    lhs = dowling_poly(m, r, n + h)
+                yield {"m": m, "r": r, "n": n, "h": h}, lhs, rhs
 
 
 @_identity("dowling-recurrence", "D(n+1,u) = r D(n,u) + u sum_j C(n,j) m^{n-j} D(j,u)",
@@ -494,21 +497,15 @@ def _dowling_to_bernoulli(m, r, n):
     bnum = bernoulli_numbers(n + 1)
     t_one = [_touchard_at_one(m, s) for s in range(n + 2)]
     W = _entries("whitney2", m, r)
+    # the sum over s does not depend on k: one value per l
+    inner = [
+        sum(comb(l + 1, s + 1) * m ** (l - s) * t_one[s + 1] * bnum[l - s] for s in range(l + 1))
+        for l in range(n + 1)
+    ]
 
     def const(k):
-        return Fraction(
-            sum(
-                comb(n + 1, l + 1)
-                * comb(l + 1, s + 1)
-                * W(n - l, k)
-                * Fraction(m) ** (l - s)
-                * t_one[s + 1]
-                * bnum[l - s]
-                for l in range(n - k + 1)
-                for s in range(l + 1)
-            ),
-            n + 1,
-        )
+        terms = (comb(n + 1, l + 1) * W(n - l, k) * inner[l] for l in range(n - k + 1))
+        return Fraction(sum(terms), n + 1)
 
     return dowling_poly(m, r, n), _lincomb((const(k), bernoulli_poly(k)) for k in range(n + 1))
 

@@ -1,12 +1,14 @@
 """An integral r gives the same values and element types whatever type it
 arrives as: an int, an integral Fraction, or a command-line string, cold
-or after the same rows were built at another type."""
+or after the same rows were built at another type.  The grammar route
+canonicalizes its own r, apart from the row store."""
 
 from fractions import Fraction
 
 import pytest
 
 from whitney import cli, clear_caches
+from whitney.grammar import whitney_row_from_grammar
 from whitney.poly import stepped_product
 from whitney.qformat import canonical, parse_rat, rat_str
 from whitney.triangles import (
@@ -46,6 +48,8 @@ def snapshot(r):
             out.append(dowling_inverse_poly(m, r, n).coeffs)
             out.append(stepped_product(n, m, r).coeffs)
             out.extend(family(kind, n, m=m, r=r).coeffs for kind in FAMILY_KINDS)
+            if r >= 0:  # the grammar route takes a nonnegative r only
+                out.append(whitney_row_from_grammar(m, r, n))
         for kind in TRIANGLE_KINDS + FAMILY_KINDS:
             out.append(build_triangle(kind, m, r, 8))
     return repr(out)  # repr tells an int from an equal Fraction

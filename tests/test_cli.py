@@ -252,3 +252,26 @@ def test_poly_dowling_inverse_steps_one_list(capsys):
     elapsed = time.perf_counter() - start
     assert code == 0 and len(out.splitlines()) == 211
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("table", "whitney2", "--m", "2", "--n", "4", "--format", "csv"), "--r"),
+        (("poly", "dowling-inverse", "--m", "3", "--n", "4", "--format", "json"), "--r"),
+        (("series", "dowling-egf", "--m", "2", "--order", "5"), "--r"),
+        (("series", "dowling-egf", "--m", "2", "--order", "5"), "--u"),
+        (("verify", "orthogonality", "--max-n", "3", "--r", "2"), "--r"),
+    ],
+    ids=["table", "poly", "series-r", "series-u", "verify"],
+)
+def test_negative_rational_value_spelled_either_way(capsys, argv, option):
+    # argparse reads "-5/3" as an option unless it is joined with "="
+    outputs = []
+    for spelling in ((option, "-5/3"), (option + "=-5/3",)):
+        code, out, err = run_cli(capsys, *argv, *spelling)
+        assert code == 0 and out and not err
+        if argv[0] == "verify":
+            out = [dict(rep, elapsed_ms=0) for rep in json.loads(out)]
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
