@@ -33,7 +33,7 @@ from .errors import BadGrid, UnknownIdentity
 from .grammar import XYPoly, derive_n, whitney_grammar
 from .operators import forward_difference_op, scaled_log_op, shift_op
 from .poly import Poly, stepped_product
-from .qformat import rat_str
+from .qformat import exact, rat_str
 from .riordan import connection_constants
 from .series import Egf, expm1_scaled, log1p_scaled
 from .triangles import (
@@ -137,7 +137,7 @@ def _sheffer_pair_euler(order):
 
 
 def _sheffer_pair_dowling(m, r, order):
-    g = Egf.one_plus_ct(m, order).pow(-Fraction(r) / m)
+    g = Egf.one_plus_ct(m, order).pow(Fraction(-exact(r), m))
     return (g, log1p_scaled(m, order))
 
 

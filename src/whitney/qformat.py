@@ -21,7 +21,7 @@ def canonical(x):
 def rat_str(x) -> str:
     if type(x) is int:
         return str(x)
-    f = Fraction(x)
+    f = x if type(x) is Fraction else Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)
     return "%d/%d" % (f.numerator, f.denominator)

@@ -223,7 +223,7 @@ def whitney2_array(m: int, r, order: int) -> ExpRiordan:
 
 def whitney1_array(m: int, r, order: int) -> ExpRiordan:
     """<(1+mt)^{-r/m}, ln(1+mt)/m>: the first-kind triangle."""
-    g = Egf.one_plus_ct(m, order).pow(-Fraction(r) / m)
+    g = Egf.one_plus_ct(m, order).pow(Fraction(-exact(r), m))
     return ExpRiordan(g, log1p_scaled(m, order))
 
 

@@ -10,7 +10,8 @@ through the one convolution kernel ``_convolve`` in :mod:`whitney.poly`,
 on ordinary coefficients; the kernel has its own oracle test.
 :meth:`Egf.inv`, :meth:`Egf.exp` and :meth:`Egf.log` run one lower-triangular
 recurrence, ``_triangular``, whose inner sums are plain integers over one
-running denominator; :meth:`Egf.inv` is the only reciprocal.
+running denominator, with binomials read from one Pascal row stepped per
+output; :meth:`Egf.inv` is the only reciprocal.
 :meth:`Egf.compose` runs ``_ord_compose``.
 
 Reversion is implemented twice on purpose: :meth:`Egf.reverse` runs Newton
@@ -21,7 +22,7 @@ nothing but ``_convolve``; the second path exists solely to check the first.
 
 import json
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import factorial, lcm
 
 from .errors import BadConstantTerm, NotInvertible, OrderExceeded
 from .poly import _convolve
@@ -46,7 +47,8 @@ def _triangular(x, u, d):
     their denominators once; the outputs so far are kept as integer
     numerators over one running lcm, rescaled only when a new output's
     denominator does not divide it, so every inner sum is a plain int and
-    each output is built as a single Fraction.
+    each output is built as a single Fraction.  The binomials C(i, 0..i)
+    are one Pascal row, stepped by one pass of additions per output.
     """
     n = len(x) - 1
     u = u[: n + 1]
@@ -55,8 +57,9 @@ def _triangular(x, u, d):
     ix = [c.numerator * (dx // c.denominator) for c in x]
     out, nums, den = [], [], 1  # out[k] == nums[k] / den
     live = []  # the j <= i with u_j != 0, so a sparse u such as 1 + ct costs little
+    row = [1]  # C(i, 0..i)
     for i in range(n + 1):
-        s = sum(comb(i, j) * iu[j] * nums[i - j] for j in live)
+        s = sum(row[j] * iu[j] * nums[i - j] for j in live)
         c = Fraction((ix[i] * du * den - s * dx) * d[i].denominator, dx * du * den * d[i].numerator)
         if den % c.denominator:
             scale = lcm(den, c.denominator) // den
@@ -66,6 +69,7 @@ def _triangular(x, u, d):
         out.append(c)
         if i < n and iu[i + 1]:
             live.append(i + 1)
+        row = [a + b for a, b in zip(row + [0], [0] + row)]
     return out
 
 
@@ -75,7 +79,7 @@ class Egf:
     __slots__ = ("a",)
 
     def __init__(self, coeffs):
-        a = tuple(Fraction(exact(c)) for c in coeffs)
+        a = tuple(c if type(c) is Fraction else Fraction(exact(c)) for c in coeffs)
         if not a:
             raise ValueError("an Egf needs at least its constant term")
         object.__setattr__(self, "a", a)
@@ -102,14 +106,14 @@ class Egf:
     @classmethod
     def exp_linear(cls, c, order: int) -> "Egf":
         """e^{ct}: coefficient a_n = c^n."""
-        out = [Fraction(1)]
+        c, out = exact(c), [Fraction(1)]
         for _ in range(order):
             out.append(out[-1] * c)
         return cls(out)
 
     @classmethod
     def one_plus_ct(cls, c, order: int) -> "Egf":
-        return cls([1, c] + [0] * (order - 1)) if order >= 1 else cls([1])
+        return cls([1, exact(c)][: order + 1] + [0] * (order - 1))
 
     @classmethod
     def from_ordinary(cls, coeffs) -> "Egf":
@@ -206,7 +210,7 @@ class Egf:
         """(series)^q for rational q, via exp(q log); constant term must be 1."""
         if self.a[0] != 1:
             raise BadConstantTerm("pow needs constant term 1")
-        return (Fraction(q) * self.log()).exp()
+        return (Fraction(exact(q)) * self.log()).exp()
 
     def compose(self, inner: "Egf") -> "Egf":
         """self(inner(t)); the inner series must have constant term 0."""
@@ -288,7 +292,7 @@ class Egf:
 
 def expm1_scaled(m, order: int) -> Egf:
     """(e^{mt} - 1)/m: a_0 = 0 and a_n = m^{n-1} for n >= 1."""
-    out = [Fraction(0)]
+    m, out = exact(m), [Fraction(0)]
     if order >= 1:
         out.append(Fraction(1))
         for _ in range(order - 1):
@@ -298,7 +302,7 @@ def expm1_scaled(m, order: int) -> Egf:
 
 def log1p_scaled(m, order: int) -> Egf:
     """ln(1 + mt)/m: a_n = (-1)^(n-1) m^(n-1) (n-1)! for n >= 1."""
-    out = [Fraction(0)]
+    m, out = exact(m), [Fraction(0)]
     sign = 1
     for n in range(1, order + 1):
         out.append(Fraction(sign * m ** (n - 1) * factorial(n - 1)))

@@ -29,7 +29,7 @@ from math import comb, lcm
 
 from .errors import WhitneyError
 from .poly import Poly, _stepped_coeffs, stepped_product
-from .qformat import canonical, parse_rat, rat_str
+from .qformat import canonical, exact, parse_rat, rat_str
 from .series import Egf, expm1_scaled, log1p_scaled
 
 TRIANGLE_KINDS = ("whitney2", "whitney1", "mstirling2", "mstirling1")
@@ -146,7 +146,7 @@ def whitney1_row(m: int, r, n: int) -> list:
 def whitney1_row_egf(m: int, r, n: int) -> list:
     """Row n straight from the defining column series."""
     _check_m(m)
-    base = Egf.one_plus_ct(m, n).pow(-Fraction(r) / m) if n >= 1 else Egf.one(0)
+    base = Egf.one_plus_ct(m, n).pow(Fraction(-exact(r), m))
     return [col[n] for col in _columns(base, log1p_scaled(m, n), n)]
 
 

@@ -77,4 +77,9 @@ def test_canonical_form():
     for bad in (True, 1.0, "1"):
         with pytest.raises(ValueError):
             canonical(bad)
-    assert [rat_str(v) for v in (7, -7, Fraction(6, 3), Fraction(-1, 2), True)] == ["7", "-7", "2", "-1/2", "1"]
+
+    class Sub(Fraction):
+        pass
+
+    values = (7, -7, Fraction(6, 3), Fraction(-1, 2), Fraction(-5, 3), Sub(-5, 3), True)
+    assert [rat_str(v) for v in values] == ["7", "-7", "2", "-1/2", "-5/3", "-5/3", "1"]

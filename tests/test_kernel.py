@@ -1,6 +1,8 @@
 """The one product kernel and the inv/exp/log recurrence, checked against
-sums written out here; Newton reversion, checked against the Lagrange
-route; and the exactness gate that every stored coefficient passes."""
+sums written out here, at low order and at the high orders where a
+binomial row that goes wrong late would show; Newton reversion, checked
+against the Lagrange route; and the exactness gate that every stored
+coefficient and every series parameter passes."""
 
 from fractions import Fraction
 from math import comb, prod
@@ -10,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whitney.poly import Poly, _convolve, stepped_product
-from whitney.riordan import OrdRiordan
-from whitney.series import Egf
+from whitney.riordan import OrdRiordan, whitney1_array
+from whitney.series import Egf, expm1_scaled, log1p_scaled
+from whitney.triangles import bernoulli_numbers, euler_zero_values, whitney1_row_egf, whitney2_row_egf
 
 FEW = settings(max_examples=40, deadline=None)
 
@@ -108,6 +111,26 @@ def test_exp_and_log_are_the_fraction_recurrences(rest):
     assert list(Egf([1] + a).log().a) == fraction_log([Fraction(1)] + a)
 
 
+def test_bernoulli_numbers_at_high_order():
+    b = bernoulli_numbers(255)
+    assert b[:3] == [1, Fraction(-1, 2), Fraction(1, 6)]
+    for n in range(1, 256):
+        assert sum(comb(n + 1, j) * b[j] for j in range(n + 1)) == 0, n
+
+
+def test_euler_zero_values_at_high_order():
+    e = euler_zero_values(251)
+    for n in range(252):  # (e^t + 1) E(t) = 2
+        assert sum(comb(n, j) * e[j] for j in range(n + 1)) + e[n] == (2 if n == 0 else 0), n
+
+
+def test_inv_exp_log_at_high_order():
+    dense = [Fraction((-1) ** i * (3 * i + 1), i % 7 + 2) for i in range(1, 61)]
+    assert list(Egf([2] + dense).inv().a) == fraction_inv([Fraction(2)] + dense)
+    assert list(Egf([0] + dense).exp().a) == fraction_exp([Fraction(0)] + dense)
+    assert list(Egf([1] + dense).log().a) == fraction_log([Fraction(1)] + dense)
+
+
 @pytest.mark.parametrize("order", range(1, 34))
 def test_newton_reverse_at_every_order(order):
     # orders 1..33 cross the precision doublings at 2^k and 2^k +- 1
@@ -122,18 +145,45 @@ def test_newton_reverse_at_every_order(order):
     "build",
     [
         lambda: Egf([0.1]),
+        lambda: Egf([1.0]),
+        lambda: Egf([True]),
+        lambda: Egf(["1"]),
         lambda: Egf.exp_linear(0.5, 3),
+        lambda: Egf.exp_linear(True, 3),
         lambda: Egf([1, True]),
+        lambda: Egf([1, 2, 3]).pow(0.1),
+        lambda: Egf([1, 2, 3]).pow(True),
+        lambda: Egf.one_plus_ct(0.5, 0),
+        lambda: whitney1_row_egf(2, 0.1, 2),
+        lambda: whitney1_row_egf(2, 0.1, 0),
+        lambda: whitney1_array(2, 0.1, 2),
+        lambda: whitney2_row_egf(2, 0.1, 2),
+        lambda: whitney2_row_egf(2, True, 2),
+        lambda: expm1_scaled(True, 3),
+        lambda: log1p_scaled(0.5, 3),
+        lambda: log1p_scaled(True, 3),
         lambda: Poly([0.5]),
         lambda: Poly([True]),
         lambda: Poly([1, 2]) * 0.5,
         lambda: OrdRiordan([1], [0, 0.5]),
     ],
     ids=[
-        "egf-float", "egf-exp-linear-float", "egf-bool", "poly-float", "poly-bool", "poly-times-float",
-        "ord-riordan-float",
+        "egf-float", "egf-integral-float", "egf-lone-bool", "egf-str", "egf-exp-linear-float",
+        "egf-exp-linear-bool", "egf-bool", "egf-pow-float", "egf-pow-bool", "egf-one-plus-ct-float-order0",
+        "whitney1-row-egf-float", "whitney1-row-egf-float-n0", "whitney1-array-float", "whitney2-row-egf-float",
+        "whitney2-row-egf-bool", "expm1-bool", "log1p-float", "log1p-bool", "poly-float", "poly-bool",
+        "poly-times-float", "ord-riordan-float",
     ],
 )
 def test_inexact_coefficients_are_refused(build):
     with pytest.raises(ValueError):
         build()
+
+
+def test_egf_stores_a_fraction_subclass_as_a_plain_fraction():
+    class Sub(Fraction):
+        pass
+
+    a = Egf([Sub(1, 2), Fraction(3, 4), 5]).a
+    assert a == (Fraction(1, 2), Fraction(3, 4), 5)
+    assert all(type(c) is Fraction for c in a)
