@@ -12,6 +12,7 @@ enumeration requests beyond the configured label cap).
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -62,7 +63,10 @@ def _join_negative_values(argv):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    # built once per process: parse_args leaves the parser unchanged, and
+    # the append options default to None, so no list is shared by two calls
     parser = argparse.ArgumentParser(
         prog="whitney",
         description="exact generalized Stirling-Whitney-Dowling computations",

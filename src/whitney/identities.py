@@ -28,17 +28,18 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import comb, factorial, lcm
+from operator import mul
 
 from .errors import BadGrid, UnknownIdentity
 from .grammar import XYPoly, derive_n, whitney_grammar
 from .operators import forward_difference_op, scaled_log_op, shift_op
-from .poly import Poly, stepped_product
-from .qformat import exact, rat_str
+from .poly import Poly, lincomb, stepped_product
+from .qformat import rat_str
 from .riordan import connection_constants
-from .series import Egf, expm1_scaled, log1p_scaled
+from .series import Egf, _first_kind_base, expm1_scaled, log1p_scaled
 from .triangles import (
     _columns,
-    _entries,
+    _rows,
     bernoulli_numbers,
     bernoulli_poly,
     cauchy_numbers,
@@ -64,19 +65,14 @@ def _touchard_at_one(m, n):
     return sum(m_stirling2_row(m, n))
 
 
-def _lincomb(terms) -> Poly:
-    """The polynomial sum of c * p over the (c, p) pairs of `terms`."""
-    out = []
-    for c, p in terms:
-        if c:
-            out.extend([0] * (len(p.coeffs) - len(out)))
-            for i, a in enumerate(p.coeffs):
-                out[i] += c * a
-    return Poly(out)
-
-
 def _mr(grid):
     return product(grid["m"], grid["r"])
+
+
+def _cleared(nums):
+    """Integer numerators of `nums` over their lcm denominator, and that lcm."""
+    d = lcm(*[v.denominator for v in nums])  # a generator here raised peak RSS
+    return [v.numerator * (d // v.denominator) for v in nums], d
 
 
 def exact_det(rows) -> Fraction:
@@ -88,9 +84,8 @@ def exact_det(rows) -> Fraction:
     """
     a, scale = [], 1
     for row in rows:
-        row = [v if type(v) is int else Fraction(v) for v in row]
-        d = lcm(*[v.denominator for v in row])  # a generator here raised peak RSS
-        a.append([v.numerator * (d // v.denominator) for v in row])
+        nums, d = _cleared([v if type(v) is int else Fraction(v) for v in row])
+        a.append(nums)
         scale *= d
     n = len(a)
     if n == 0:
@@ -120,10 +115,11 @@ def dowling_from_determinant(m, r, n) -> Poly:
     The matrix is (n+1) x (n+1): row 0 holds 1, x, ..., x^n and row i >= 1
     holds the first-kind entries w(j, i-1) for j = 0..n.
     """
-    w = _entries("whitney1", m, r)
+    w = _rows("whitney1", m, r, n)
     coeffs = []
     for j in range(n + 1):
-        minor = [[w(jj, i - 1) for jj in range(n + 1) if jj != j] for i in range(1, n + 1)]
+        minor = [[w[jj][i - 1] if jj >= i - 1 else 0 for jj in range(n + 1) if jj != j]
+                 for i in range(1, n + 1)]
         coeffs.append((-1) ** j * exact_det(minor))
     return Poly(c * (-1) ** n for c in coeffs)
 
@@ -137,8 +133,7 @@ def _sheffer_pair_euler(order):
 
 
 def _sheffer_pair_dowling(m, r, order):
-    g = Egf.one_plus_ct(m, order).pow(Fraction(-exact(r), m))
-    return (g, log1p_scaled(m, order))
+    return (_first_kind_base(m, r, order), log1p_scaled(m, order))
 
 
 # -- registry ------------------------------------------------------------
@@ -263,10 +258,10 @@ def _n_from_one(grid):
 def _egf_whitney2(grid):
     n_max = grid["max_n"]
     for m, r in _mr(grid):
-        W = _entries("whitney2", m, r)
+        rows = _rows("whitney2", m, r, n_max)[: n_max + 1]
         cols = _columns(Egf.exp_linear(r, n_max), expm1_scaled(m, n_max), n_max)
         for k, lhs in enumerate(cols):
-            yield {"m": m, "r": r, "k": k}, lhs, [W(n, k) for n in range(n_max + 1)]
+            yield {"m": m, "r": r, "k": k}, lhs, [row[k] if k < len(row) else 0 for row in rows]
 
 
 @_identity("egf-dowling", "exp(rt + u(e^{mt}-1)/m) generates the Dowling row polynomials",
@@ -288,13 +283,17 @@ def _egf_dowling(grid):
            "bivariate-polynomial")
 def _lemma_grammar_dowling(grid):
     # the derivative is carried along n, one grammar step per point
+    negative = [r for r in grid["r"] if r < 0]  # y x^r is a monomial only for r >= 0
+    if negative:
+        raise BadGrid("identity 'lemma-grammar-dowling': r must be nonnegative, got %s"
+                      % rat_str(negative[0]))
     for m in grid["m"]:
         g = whitney_grammar(m)
         for r in grid["r"]:
-            W = _entries("whitney2", m, r)
+            rows = _rows("whitney2", m, r, grid["max_n"])
             state = XYPoly.monomial(1, r)
             for n in range(grid["max_n"] + 1):
-                rhs = XYPoly({(1, m * k + r): W(n, k) for k in range(n + 1)})
+                rhs = XYPoly({(1, m * k + r): w for k, w in enumerate(rows[n])})
                 yield {"m": m, "r": r, "n": n}, state, rhs
                 state = derive_n(g, state, 1)
 
@@ -304,7 +303,8 @@ def _lemma_grammar_dowling(grid):
 @_identity("dowling-shift", "D_{m,r+l}(n,u) = sum_k C(n,k) l^{n-k} D_{m,r}(k,u)",
            "polynomial-in-u", ("m", "r", "l", "n"), grid={"l": (0, 1, 2, 3)})
 def _dowling_shift(m, r, l, n):
-    rhs = _lincomb((comb(n, k) * l ** (n - k), dowling_poly(m, r, k)) for k in range(n + 1))
+    d = _rows("whitney2", m, r, n)
+    rhs = lincomb((comb(n, k) * l ** (n - k), d[k]) for k in range(n + 1))
     return dowling_poly(m, r + l, n), rhs
 
 
@@ -318,13 +318,14 @@ def _spivey(grid, entrywise):
     # does not depend on h and is formed once per (m, r, n)
     max_h = grid["max_h"]
     for m, r in _mr(grid):
-        W = _entries("whitney2", m, r)
+        d = _rows("whitney2", m, r, max(grid["max_n"], max_h))
         for n in range(grid["max_n"] + 1):
-            d = [dowling_poly(m, r, k) for k in range(n + 1)]
-            inner = [_lincomb((comb(n, k) * (j * m) ** (n - k), d[k]) for k in range(n + 1))
+            # inner[j] is held times u^j, as the outer sum takes it
+            inner = [(0,) * j + lincomb((comb(n, k) * (j * m) ** (n - k), d[k])
+                                        for k in range(n + 1)).coeffs
                      for j in range(max_h + 1)]
             for h in range(max_h + 1):
-                rhs = _lincomb((W(h, j), inner[j].mul_xpow(j)) for j in range(h + 1))
+                rhs = lincomb((d[h][j], inner[j]) for j in range(h + 1))
                 if entrywise:
                     lhs, rhs = whitney2_row(m, r, n + h), [rhs.coeff(s) for s in range(n + h + 1)]
                 else:
@@ -335,17 +336,20 @@ def _spivey(grid, entrywise):
 @_identity("dowling-recurrence", "D(n+1,u) = r D(n,u) + u sum_j C(n,j) m^{n-j} D(j,u)",
            "polynomial-in-u", _MRN)
 def _dowling_recurrence(m, r, n):
-    acc = _lincomb((comb(n, j) * m ** (n - j), dowling_poly(m, r, j)) for j in range(n + 1))
-    return dowling_poly(m, r, n + 1), r * dowling_poly(m, r, n) + acc.mul_xpow(1)
+    # u times the sum is taken inside it, one x-shifted row a term
+    d = _rows("whitney2", m, r, n + 1)
+    terms = [(comb(n, j) * m ** (n - j), (0,) + d[j]) for j in range(n + 1)]
+    return dowling_poly(m, r, n + 1), lincomb([(r, d[n])] + terms)
 
 
 @_identity("whitney-recurrence", "W(n+1,k) = r W(n,k) + sum_j C(n,j) m^{n-j} W(j,k-1)",
            "numeric-at-points", _MRN)
 def _whitney_recurrence(m, r, n):
-    W = _entries("whitney2", m, r)
+    # W(n, n+1) and W(j, -1) are 0; W(j, k-1) is 0 for j < k-1
+    W = _rows("whitney2", m, r, n)
     rhs = [
-        r * W(n, k)
-        + sum(comb(n, j) * m ** (n - j) * W(j, k - 1) for j in range(max(k - 1, 0), n + 1))
+        (r * W[n][k] if k <= n else 0)
+        + (sum(comb(n, j) * m ** (n - j) * W[j][k - 1] for j in range(k - 1, n + 1)) if k else 0)
         for k in range(n + 2)
     ]
     return whitney2_row(m, r, n + 1), rhs
@@ -354,16 +358,17 @@ def _whitney_recurrence(m, r, n):
 @_identity("r-shift-s", "D_{m,r}(n,u) = sum_j C(n,j) (r-s)^{n-j} D_{m,s}(j,u)",
            "polynomial-in-u", ("m", "r", "s", "n"), grid={"s": (0, 1, 2, 3)})
 def _r_shift_s(m, r, s, n):
-    rhs = _lincomb((comb(n, j) * (r - s) ** (n - j), dowling_poly(m, s, j)) for j in range(n + 1))
+    d = _rows("whitney2", m, s, n)
+    rhs = lincomb((comb(n, j) * (r - s) ** (n - j), d[j]) for j in range(n + 1))
     return dowling_poly(m, r, n), rhs
 
 
 @_identity("whitney-r-shift", "W_{m,r}(n,k) = sum_j C(n,j) (r-s)^{n-j} W_{m,s}(j,k)",
            "numeric-at-points", ("m", "r", "s", "n"), grid={"s": (0, 1, 2, 3)})
 def _whitney_r_shift(m, r, s, n):
-    W = _entries("whitney2", m, s)
+    W = _rows("whitney2", m, s, n)  # W(j, k) is 0 for j < k
     rhs = [
-        sum(comb(n, j) * (r - s) ** (n - j) * W(j, k) for j in range(n + 1))
+        sum(comb(n, j) * (r - s) ** (n - j) * W[j][k] for j in range(k, n + 1))
         for k in range(n + 1)
     ]
     return whitney2_row(m, r, n), rhs
@@ -395,7 +400,7 @@ def _umbral_inverse_touchard(m, n, direction):
         row, family = m_stirling2_row(m, n), touchard_inverse_poly
     else:
         row, family = m_stirling1_row(m, n), touchard_poly
-    return _lincomb((row[k], family(m, k)) for k in range(n + 1)), _xpow(n)
+    return lincomb((row[k], family(m, k)) for k in range(n + 1)), _xpow(n)
 
 
 @_identity("delta-ops",
@@ -423,8 +428,8 @@ def _binomial_recurrences(m, n, family):
 
 def _umbral(kind, family, m, r, n, upto):
     """sum_{k < upto} E(n,k) P_k(x), E the `kind` triangle, P_k = family(m, r, k)."""
-    e = _entries(kind, m, r)
-    return _lincomb((e(n, k), family(m, r, k)) for k in range(upto))
+    e = _rows(kind, m, r, n)[n]
+    return lincomb((e[k], family(m, r, k)) for k in range(upto))
 
 
 @_identity("dowling-umbral-inverse",
@@ -453,7 +458,7 @@ def _dowlstir(m, r, n):
     derivs = [touchard_poly(m, n)]
     for _ in range(n):
         derivs.append(derivs[-1].deriv())
-    rhs = _lincomb(
+    rhs = lincomb(
         (Fraction(stepped_product(k, m, 0)(r), factorial(k)), dp) for k, dp in enumerate(derivs)
     )
     return dowling_poly(m, r, n), rhs
@@ -466,11 +471,12 @@ def _dowlstir(m, r, n):
            "Euler polynomials expanded in the Dowling family through first-kind entries",
            "polynomial-in-u", _MRN, bind={"numbers": euler_zero_values, "family": euler_poly})
 def _family_to_dowling(numbers, family, m, r, n):
-    c = numbers(n)
-    w = _entries("whitney1", m, r)
-    rhs = _lincomb(
-        (sum(comb(n, l) * c[n - l] * w(l, k) for l in range(k, n + 1)), dowling_poly(m, r, k))
-        for k in range(n + 1)
+    # the numbers over one denominator d: each constant is one Fraction
+    c, d = _cleared(numbers(n))
+    cn = [comb(n, l) * c[n - l] for l in range(n + 1)]
+    w, dk = _rows("whitney1", m, r, n), _rows("whitney2", m, r, n)
+    rhs = lincomb(
+        (Fraction(sum(cn[l] * w[l][k] for l in range(k, n + 1)), d), dk[k]) for k in range(n + 1)
     )
     return family(n), rhs
 
@@ -482,10 +488,11 @@ def _corrected(grid, source, family):
     # max_n = 0 still has one point
     n_max = grid["max_n"]
     order = max(n_max, 1)
+    fam = [family(k) for k in range(n_max + 1)]
     for m, r in _mr(grid):
         arr = connection_constants(source(order), _sheffer_pair_dowling(m, r, order))
         for n in range(n_max + 1):
-            rhs = _lincomb((arr.entry(n, k), family(k)) for k in range(n + 1))
+            rhs = lincomb((arr.entry(n, k), fam[k]) for k in range(n + 1))
             yield {"m": m, "r": r, "n": n}, dowling_poly(m, r, n), rhs
 
 
@@ -496,7 +503,7 @@ def _corrected(grid, source, family):
 def _dowling_to_bernoulli(m, r, n):
     bnum = bernoulli_numbers(n + 1)
     t_one = [_touchard_at_one(m, s) for s in range(n + 2)]
-    W = _entries("whitney2", m, r)
+    W = _rows("whitney2", m, r, n)
     # the sum over s does not depend on k: one value per l
     inner = [
         sum(comb(l + 1, s + 1) * m ** (l - s) * t_one[s + 1] * bnum[l - s] for s in range(l + 1))
@@ -504,10 +511,10 @@ def _dowling_to_bernoulli(m, r, n):
     ]
 
     def const(k):
-        terms = (comb(n + 1, l + 1) * W(n - l, k) * inner[l] for l in range(n - k + 1))
+        terms = (comb(n + 1, l + 1) * W[n - l][k] * inner[l] for l in range(n - k + 1))
         return Fraction(sum(terms), n + 1)
 
-    return dowling_poly(m, r, n), _lincomb((const(k), bernoulli_poly(k)) for k in range(n + 1))
+    return dowling_poly(m, r, n), lincomb((const(k), bernoulli_poly(k)) for k in range(n + 1))
 
 
 @_identity("dowling-to-euler",
@@ -516,16 +523,11 @@ def _dowling_to_bernoulli(m, r, n):
            variant=partial(_corrected, source=_sheffer_pair_euler, family=euler_poly))
 def _dowling_to_euler(m, r, n):
     t_one = [_touchard_at_one(m, s) for s in range(n + 1)]
-    W = _entries("whitney2", m, r)
-    rhs = _lincomb(
-        (
-            Fraction(1, 2) * sum(comb(n, l) * W(n - l, k) * t_one[l] for l in range(n - k + 1))
-            + Fraction(1, 2) * W(n, k),
-            euler_poly(k),
-        )
-        for k in range(n + 1)
-    )
-    return dowling_poly(m, r, n), rhs
+    W = _rows("whitney2", m, r, n)
+    # (1/2) sum + (1/2) W(n, k), as one Fraction
+    const = [Fraction(sum(comb(n, l) * W[n - l][k] * t_one[l] for l in range(n - k + 1))
+                      + W[n][k], 2) for k in range(n + 1)]
+    return dowling_poly(m, r, n), lincomb((const[k], euler_poly(k)) for k in range(n + 1))
 
 
 def _az_points(grid):
@@ -535,42 +537,42 @@ def _az_points(grid):
     return firsts + [(n, i) for n in range(1, n_max + 1) for i in ("g-shift", "column-scale")]
 
 
-def _az_sides(kind, c, m, r, n, identity):
+def _az_sides(kind, cleared, m, r, n, identity):
     """One of three row recurrences of the `kind` array at (m, r, n).
 
-    `c` holds the numbers of its A-sequence: Cauchy numbers for the
-    second kind, Bernoulli numbers for the first.  The other two
-    recurrences weight row l by m^(n-l), or by (-m)^(n-l) (n-l)! for the
-    first kind.
+    `cleared` holds the numbers of its A-sequence as integer numerators
+    over one denominator: Cauchy numbers for the second kind, Bernoulli
+    numbers for the first.  The other two recurrences weight row l by
+    m^(n-l), or by (-m)^(n-l) (n-l)! for the first kind.
     """
-    e = _entries(kind, m, r)
+    e = _rows(kind, m, r, n + 1)  # e(l, k) is 0 for k > l, read as such below
 
     def weight(d):
         return m ** d if kind == "whitney2" else (-m) ** d * factorial(d)
 
     if identity == "a-sequence-row":
-        lhs = [e(n + 1, k + 1) for k in range(n + 1)]
+        # (n+1)/(k+1) and the denominator d of c come out of the sum over j
+        c, d = cleared
+        lhs = [e[n + 1][k + 1] for k in range(n + 1)]
         rhs = [
-            sum(
-                Fraction(n + 1, k + 1) * comb(k + j, j) * c[j] * Fraction(m) ** j * e(n, k + j)
-                for j in range(n - k + 1)
-            )
+            Fraction((n + 1) * sum(comb(k + j, j) * c[j] * m ** j * e[n][k + j]
+                                   for j in range(n - k + 1)), (k + 1) * d)
             for k in range(n + 1)
         ]
         return lhs, rhs
     if identity == "column-scale":
-        lhs, top = [k * e(n, k) for k in range(n + 1)], n
+        lhs, top = [k * e[n][k] for k in range(n + 1)], n
     elif kind == "whitney2":
-        lhs, top = [e(n, k) - r * e(n - 1, k) for k in range(n + 1)], n - 1
+        lhs, top = [e[n][k] - (r * e[n - 1][k] if k < n else 0) for k in range(n + 1)], n - 1
     else:
         lhs = [
-            e(n, k) + r * sum(comb(n - 1, l) * weight(n - l - 1) * e(l, k) for l in range(n))
+            e[n][k] + r * sum(comb(n - 1, l) * weight(n - l - 1) * e[l][k] for l in range(k, n))
             for k in range(n + 1)
         ]
         top = n - 1
-    rhs = [
-        sum(comb(top, l - 1) * weight(n - l) * e(l - 1, k - 1) for l in range(max(k, 1), n + 1))
-        for k in range(n + 1)
+    rhs = [0] + [
+        sum(comb(top, l - 1) * weight(n - l) * e[l - 1][k - 1] for l in range(k, n + 1))
+        for k in range(1, n + 1)
     ]
     return lhs, rhs
 
@@ -584,7 +586,7 @@ def _az_sides(kind, c, m, r, n, identity):
 def _az_recurrences(grid, kind, numbers):
     # stateless per point, but the A-sequence numbers are computed once
     # per grid: the Cauchy numbers are not cached
-    sides = partial(_az_sides, kind, numbers(grid["max_n"]))
+    sides = partial(_az_sides, kind, _cleared(numbers(grid["max_n"])))
     yield from _walk(sides, ("m", "r", (("n", "identity"), _az_points)))(grid)
 
 
@@ -592,15 +594,15 @@ def _az_recurrences(grid, kind, numbers):
            "numeric-at-points", _MRN + (("direction", ("second-first", "first-second")),),
            grid={"max_n": 12})
 def _orthogonality(m, r, n, direction):
-    W, w = _entries("whitney2", m, r), _entries("whitney1", m, r)
+    W, w = _rows("whitney2", m, r, n), _rows("whitney1", m, r, n)
     a, b = (W, w) if direction == "second-first" else (w, W)
-    lhs = [sum(a(n, i) * b(i, s) for i in range(s, n + 1)) for s in range(n + 1)]
+    lhs = [sum(a[n][i] * b[i][s] for i in range(s, n + 1)) for s in range(n + 1)]
     return lhs, [1 if s == n else 0 for s in range(n + 1)]
 
 
 def _apply(e, f):
-    """The sequence n -> sum_s e(n, s) f[s]."""
-    return [sum(e(n, s) * f[s] for s in range(n + 1)) for n in range(len(f))]
+    """The sequence n -> sum_s e(n, s) f[s], e given by its rows."""
+    return [sum(map(mul, e[n], f)) for n in range(len(f))]
 
 
 @_identity("inverse-relation",
@@ -610,7 +612,7 @@ def _inverse_relation(grid):
     # both directions draw, in turn, from one generator per (m, r, seed)
     n_max = grid["max_n"]
     for m, r in _mr(grid):
-        W, w = _entries("whitney2", m, r), _entries("whitney1", m, r)
+        W, w = _rows("whitney2", m, r, n_max), _rows("whitney1", m, r, n_max)
         for seed in grid["seeds"]:
             rng = random.Random("inverse-relation-%d-%s-%d" % (m, r, seed))
             for direction, first, second in (

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import SeriesTooShort
-from .poly import Poly
+from .poly import Poly, lincomb
 from .series import Egf
 
 
@@ -34,14 +34,11 @@ class DiffOpSeries:
             raise SeriesTooShort(
                 "operator truncated at order %d applied to degree %d" % (self.order, p.degree)
             )
-        out = Poly()
-        dp = p
+        terms, dp = [], p
         for k in range(max(p.degree, 0) + 1):
-            b = self.series.a[k]
-            if b:
-                out = out + (b / factorial(k)) * dp
+            terms.append((self.series.a[k] / factorial(k), dp))
             dp = dp.deriv()
-        return out
+        return lincomb(terms)
 
     def __repr__(self):
         return "DiffOpSeries(%r)" % (self.series,)

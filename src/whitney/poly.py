@@ -1,12 +1,14 @@
-"""Dense univariate polynomials over exact rationals, and the one product
-kernel that every truncated series product in the package goes through.
+"""Dense univariate polynomials over exact rationals, the one product
+kernel that every truncated series product in the package goes through,
+and ``lincomb``, the sum of scaled polynomials that the identity
+evaluators and the derivative-series operators build their sides with.
 
 Coefficients may be ``int`` or ``fractions.Fraction``; arithmetic never
 rounds.  Values are immutable and safe to share.
 """
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .qformat import canonical, exact
 
@@ -33,6 +35,44 @@ def _convolve(a, b, n):
         return out
     d = da * db
     return [Fraction(c, d) for c in out]
+
+
+def lincomb(terms) -> "Poly":
+    """The polynomial sum of c * p over the (c, p) pairs of `terms`.
+
+    p is a Poly or a sequence of coefficients by ascending power.  The sum
+    is kept as integer numerators over one running lcm of the terms'
+    denominators, rescaled only when a term's denominator does not divide
+    it, and each coefficient is divided once at the end.  Integer terms
+    give integer coefficients; otherwise every coefficient is a Fraction.
+    A float or bool, as c or as a coefficient, raises ValueError.
+    """
+    out, den, ints = [], 1, True
+    for c, p in terms:
+        if not c:
+            continue
+        cs = p.coeffs if isinstance(p, Poly) else p
+        if len(cs) > len(out):
+            out.extend([0] * (len(cs) - len(out)))
+        if type(c) is int and {int}.issuperset(map(type, cs)):
+            if den != 1:
+                c *= den
+            for i, a in enumerate(cs):
+                out[i] += c * a
+            continue
+        ints, c = False, exact(c)
+        if not {int, Fraction}.issuperset(map(type, cs)):
+            cs = [exact(a) for a in cs]
+        d = lcm(*[a.denominator for a in cs])
+        t = c.denominator * d
+        if den % t:
+            scale = t // gcd(den, t)
+            out = [v * scale for v in out]
+            den *= scale
+        c = c.numerator * (den // t)
+        for i, a in enumerate(cs):
+            out[i] += c * a.numerator * (d // a.denominator)
+    return Poly(out if ints else [Fraction(v, den) for v in out])
 
 
 class Poly:

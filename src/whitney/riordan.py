@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import NotInvertible, NotSolvable, OrderExceeded
 from .poly import Poly, _convolve
 from .qformat import exact, rat_str
-from .series import Egf, _ord_compose, expm1_scaled, log1p_scaled
+from .series import Egf, _check_m, _first_kind_base, _ord_compose, expm1_scaled, log1p_scaled
 
 
 class ExpRiordan:
@@ -218,13 +218,13 @@ def identity_array(order: int) -> ExpRiordan:
 
 def whitney2_array(m: int, r, order: int) -> ExpRiordan:
     """<e^{rt}, (e^{mt} - 1)/m>: the second-kind triangle as a Riordan array."""
+    _check_m(m)
     return ExpRiordan(Egf.exp_linear(r, order), expm1_scaled(m, order))
 
 
 def whitney1_array(m: int, r, order: int) -> ExpRiordan:
     """<(1+mt)^{-r/m}, ln(1+mt)/m>: the first-kind triangle."""
-    g = Egf.one_plus_ct(m, order).pow(Fraction(-exact(r), m))
-    return ExpRiordan(g, log1p_scaled(m, order))
+    return ExpRiordan(_first_kind_base(m, r, order), log1p_scaled(m, order))
 
 
 def sheffer_polys(g: Egf, f: Egf, count: int) -> list:

@@ -290,6 +290,17 @@ class Egf:
         return cls(coeffs)
 
 
+def _check_m(m):
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise ValueError("m must be a positive integer")
+
+
+def _first_kind_base(m, r, order: int) -> Egf:
+    """(1 + mt)^{-r/m}, the column-0 series of the first-kind triangle."""
+    _check_m(m)
+    return Egf.one_plus_ct(m, order).pow(Fraction(-exact(r), m))
+
+
 def expm1_scaled(m, order: int) -> Egf:
     """(e^{mt} - 1)/m: a_0 = 0 and a_n = m^{n-1} for n >= 1."""
     m, out = exact(m), [Fraction(0)]

@@ -29,8 +29,8 @@ from math import comb, lcm
 
 from .errors import WhitneyError
 from .poly import Poly, _stepped_coeffs, stepped_product
-from .qformat import canonical, exact, parse_rat, rat_str
-from .series import Egf, expm1_scaled, log1p_scaled
+from .qformat import canonical, parse_rat, rat_str
+from .series import Egf, _check_m, _first_kind_base, expm1_scaled, log1p_scaled
 
 TRIANGLE_KINDS = ("whitney2", "whitney1", "mstirling2", "mstirling1")
 FAMILY_KINDS = (
@@ -42,11 +42,6 @@ FAMILY_KINDS = (
     "euler",
 )
 SEQUENCE_KINDS = ("bernoulli-numbers", "euler-zero-values", "cauchy1", "bell")
-
-
-def _check_m(m):
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError("m must be a positive integer")
 
 
 # -- the row store ----------------------------------------------------
@@ -91,25 +86,6 @@ def _row(kind, m, r, n) -> tuple:
     return _rows(kind, m, r, n)[n]
 
 
-def _entries(kind, m, r):
-    """Entry access e(n, k) to the stored `kind` triangle at (m, r).
-
-    Each lookup is O(1) once its row is stored; e(n, k) is 0 outside the
-    triangle (n < 0, k < 0 or k > n).
-    """
-    rows = _rows(kind, m, r, 0)
-
-    def entry(n, k):
-        nonlocal rows
-        if n < 0 or k < 0 or k > n:
-            return 0
-        if n >= len(rows):  # after a clear_caches() the store has a new list
-            rows = _rows(kind, m, r, n)
-        return rows[n][k]
-
-    return entry
-
-
 # -- second kind ------------------------------------------------------
 
 
@@ -145,9 +121,7 @@ def whitney1_row(m: int, r, n: int) -> list:
 
 def whitney1_row_egf(m: int, r, n: int) -> list:
     """Row n straight from the defining column series."""
-    _check_m(m)
-    base = Egf.one_plus_ct(m, n).pow(Fraction(-exact(r), m))
-    return [col[n] for col in _columns(base, log1p_scaled(m, n), n)]
+    return [col[n] for col in _columns(_first_kind_base(m, r, n), log1p_scaled(m, n), n)]
 
 
 # -- r = 0 specializations ---------------------------------------------

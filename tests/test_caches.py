@@ -3,7 +3,7 @@ rebuilt from cold with identical values and types."""
 
 from fractions import Fraction
 
-from whitney import clear_caches, enumeration, triangles
+from whitney import clear_caches, enumeration, identities, triangles
 from whitney.triangles import (
     FAMILY_KINDS,
     SEQUENCE_KINDS,
@@ -11,7 +11,6 @@ from whitney.triangles import (
     build_triangle,
     classical_seq,
     family,
-    whitney1_row,
     whitney2_row,
 )
 
@@ -50,11 +49,16 @@ def test_every_family_is_identical_after_a_clear():
     assert snapshot() == warm
 
 
-def test_entry_access_survives_a_clear():
-    W = triangles._entries("whitney2", 2, 3)
-    assert W(4, 2) == whitney2_row(2, 3, 4)[2]
-    clear_caches()
-    assert W(12, 5) == whitney2_row(2, 3, 12)[5]
-    w = triangles._entries("whitney1", 1, 0)
-    clear_caches()
-    assert w(7, 3) == whitney1_row(1, 0, 7)[3]
+def test_evaluators_survive_a_clear_mid_walk():
+    # an evaluator holds the row lists it read; a clear_caches() between
+    # its points drops them from the store but leaves them intact
+    for name in ("spivey", "inverse-relation", "az-recurrences-W1", "dowling-to-euler"):
+        check = identities.REGISTRY[name]
+        grid = dict(check.grid, max_n=4, m=(2,), r=(3, Fraction(1, 2)))
+        points = 0
+        for params, lhs, rhs in check.evaluate(grid):
+            if points % 3 == 0:
+                clear_caches()
+            points += 1
+            assert lhs == rhs, (name, params)
+        assert points > 6

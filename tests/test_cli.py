@@ -215,11 +215,15 @@ def test_verify_all_reduced_grid(capsys):
         (("table", "whitney2", "--r", "1/0", "--n", "3"), "argument --r"),
         (("series", "whitney2-column", "--k", "-1", "--order", "4"), "--k must be between 0 and --order"),
         (("series", "whitney1-column", "--k", "-1", "--order", "4"), "--k must be between 0 and --order"),
+        (("verify", "lemma-grammar-dowling", "--r", "-1"), "'lemma-grammar-dowling': r must be nonnegative, got -1"),
+        (("verify", "all", "--r", "-1"), "'lemma-grammar-dowling': r must be nonnegative, got -1"),
+        (("verify", "all", "--r", "2", "--r=-5/3"), "'lemma-grammar-dowling': r must be nonnegative, got -5/3"),
     ],
     ids=[
         "verify-negative-n", "verify-negative-n-egf", "verify-m0", "table-m0", "series-m0",
         "oracle-over-cap", "verify-r-zero-denominator", "table-r-zero-denominator",
-        "series-w2-negative-k", "series-w1-negative-k",
+        "series-w2-negative-k", "series-w1-negative-k", "verify-grammar-negative-r",
+        "verify-all-negative-r", "verify-all-negative-rational-r",
     ],
 )
 def test_bad_input_exits_2_without_output(capsys, argv, message):
@@ -227,6 +231,22 @@ def test_bad_input_exits_2_without_output(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_append_options_do_not_leak_between_calls(capsys):
+    # one parser serves every call in a process; each call's --m and --r
+    # must come from its own argv alone
+    assert cli._build_parser() is cli._build_parser()
+    grids = [
+        (("--m", "2", "--m", "3", "--r", "1/2", "--r", "4"), (2, 3), (Fraction(1, 2), 4)),
+        (("--m", "1", "--r", "5"), (1,), (5,)),
+        ((), (1, 2, 3), (0, 1, 2, 3)),
+    ]
+    for options, m, r in grids:
+        code, out, _ = run_cli(capsys, "verify", "orthogonality", "--max-n", "2", *options)
+        want = identities.run_check("orthogonality", {"max_n": 2, "m": m, "r": r})
+        assert code == 0
+        assert json.loads(out)[0]["grid_size"] == want.grid_size == 3 * 2 * len(m) * len(r)
 
 
 @pytest.mark.parametrize("kind", ["touchard-inverse", "dowling-inverse"])

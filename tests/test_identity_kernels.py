@@ -1,20 +1,30 @@
-"""The integer Bareiss determinant against a cofactor expansion, and the
-factored sides of whitney-convolution, spivey and dowling-to-bernoulli
-against their printed double and triple sums, written out here."""
+"""The kernels under the identity evaluators, each against a sum written
+out here: ``lincomb`` and the derivative-series operators against plain
+Fraction sums, the integer Bareiss determinant against a cofactor
+expansion, and the factored sides of whitney-convolution, spivey,
+dowling-to-bernoulli, dowling-to-euler, the Bernoulli/Euler expansions in
+the Dowling family and the A-sequence rows against their printed sums."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whitney.identities import REGISTRY, exact_det
-from whitney.poly import Poly
+from whitney.operators import DiffOpSeries
+from whitney.poly import Poly, lincomb
+from whitney.series import Egf
 from whitney.triangles import (
     bernoulli_numbers,
     bernoulli_poly,
+    cauchy_numbers,
     dowling_poly,
+    euler_poly,
+    euler_zero_values,
     m_stirling2_row,
+    whitney1_row,
     whitney2_row,
 )
 
@@ -25,6 +35,67 @@ rats = st.one_of(ints, st.fractions(-9, 9, max_denominator=7))
 # mostly zeros: leading zeros that need a row swap, and singular matrices
 sparse = st.sampled_from((0, 0, 0, 1, -2, Fraction(1, 3)))
 small_r = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 7))
+
+
+# a coefficient sequence as a Poly, a tuple or a list; zeros included
+coeff_lists = st.lists(st.one_of(rats, st.just(0)), max_size=6)
+polys = coeff_lists.flatmap(lambda cs: st.sampled_from((Poly(cs), tuple(cs), list(cs))))
+int_polys = st.lists(ints, max_size=6).flatmap(lambda cs: st.sampled_from((Poly(cs), tuple(cs))))
+
+
+def coeffs_of(p):
+    return p.coeffs if isinstance(p, Poly) else p
+
+
+def fraction_sum(terms):
+    """sum c * p, coefficient by coefficient, in Fractions."""
+    width = max((len(coeffs_of(p)) for _, p in terms), default=0)
+    out = [Fraction(0)] * width
+    for c, p in terms:
+        for i, a in enumerate(coeffs_of(p)):
+            out[i] += Fraction(c) * Fraction(a)
+    return Poly(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.one_of(rats, st.just(0)), polys), max_size=6))
+def test_lincomb_is_the_written_out_sum(terms):
+    got = lincomb(iter(terms))
+    assert got == fraction_sum(terms)
+    # a nonzero term that is not all int makes every coefficient a Fraction
+    mixed = any(
+        c and not (type(c) is int and all(type(a) is int for a in coeffs_of(p))) for c, p in terms
+    )
+    assert all(type(a) is (Fraction if mixed else int) for a in got.coeffs)
+
+
+@FEW
+@given(st.lists(st.tuples(ints, int_polys), max_size=6))
+def test_lincomb_of_int_terms_stays_int(terms):
+    got = lincomb(terms)
+    assert got == fraction_sum(terms)
+    assert all(type(a) is int for a in got.coeffs)
+
+
+@pytest.mark.parametrize("terms", [
+    [(1.5, (1,))], [(True, (1,))], [(Fraction(1, 2), (0.5,))], [(1, (True, 2))], [(1, [2, 1.0])],
+])
+def test_lincomb_refuses_inexact_values(terms):
+    with pytest.raises(ValueError):
+        lincomb(terms)
+
+
+@FEW
+@given(st.lists(rats, min_size=1, max_size=7), coeff_lists)
+def test_diffop_series_is_the_written_out_sum(b, cs):
+    # sum_k b_k / k! D^k p, where D^k x^(i+k) = (i+k)!/i! x^i
+    cs = cs[: len(b)]  # degree within the operator's order
+    want = [
+        sum((Fraction(b[k], factorial(k)) * Fraction(factorial(i + k), factorial(i)) * cs[i + k]
+             for k in range(len(b)) if i + k < len(cs)), Fraction(0))
+        for i in range(len(cs))
+    ]
+    assert DiffOpSeries(Egf(b))(Poly(cs)) == Poly(want)
 
 
 def cofactor_det(rows):
@@ -122,3 +193,49 @@ def test_dowling_to_bernoulli_is_the_printed_triple_sum(m, r, n):
         )
         want = want + const * bernoulli_poly(k)
     assert rhs == want and lhs == dowling_poly(m, r, n)
+
+
+@FEW
+@given(st.integers(1, 4), small_r, st.integers(0, 5))
+def test_family_expansions_and_dowling_to_euler_are_the_printed_sums(m, r, n):
+    for name, numbers, family in (
+        ("bernoulli-to-dowling", bernoulli_numbers, bernoulli_poly),
+        ("euler-to-dowling", euler_zero_values, euler_poly),
+    ):
+        p, lhs, rhs = walk(name, m, r, n)[-1]
+        c = numbers(n)
+        w = [whitney1_row(m, r, l) for l in range(n + 1)]
+        want = Poly()
+        for k in range(n + 1):
+            const = sum(comb(n, l) * c[n - l] * w[l][k] for l in range(k, n + 1))
+            want = want + const * dowling_poly(m, r, k)
+        assert p == {"m": m, "r": r, "n": n} and rhs == want and lhs == family(n)
+    p, lhs, rhs = walk("dowling-to-euler", m, r, n)[-1]
+    t_one = [sum(m_stirling2_row(m, s)) for s in range(n + 1)]
+    want = Poly()
+    for k in range(n + 1):
+        const = Fraction(1, 2) * sum(
+            comb(n, l) * W(m, r, n - l, k) * t_one[l] for l in range(n - k + 1)
+        ) + Fraction(1, 2) * W(m, r, n, k)
+        want = want + const * euler_poly(k)
+    assert rhs == want and lhs == dowling_poly(m, r, n)
+
+
+@FEW
+@given(st.integers(1, 4), small_r, st.integers(1, 5))
+def test_a_sequence_rows_are_the_printed_sums(m, r, n_max):
+    for name, numbers, row in (
+        ("az-recurrences-W2", cauchy_numbers, whitney2_row),
+        ("az-recurrences-W1", bernoulli_numbers, whitney1_row),
+    ):
+        c = numbers(n_max)
+        points = [pt for pt in walk(name, m, r, n_max) if pt[0]["identity"] == "a-sequence-row"]
+        assert [p["n"] for p, _, _ in points] == list(range(n_max))
+        for p, lhs, rhs in points:
+            n, e = p["n"], row(m, r, p["n"])
+            want = [
+                sum(Fraction(n + 1, k + 1) * comb(k + j, j) * c[j] * Fraction(m) ** j * e[k + j]
+                    for j in range(n - k + 1))
+                for k in range(n + 1)
+            ]
+            assert rhs == want and lhs == row(m, r, n + 1)[1:]

@@ -272,3 +272,12 @@ def test_bernoulli_into_dowling_row_one():
     assert bernoulli_poly(1) == (Fraction(-1, 2) - 3) * dowling_poly(2, 3, 0) + dowling_poly(
         2, 3, 1
     )
+
+
+@pytest.mark.parametrize("build", [whitney1_array, whitney2_array, whitney1_row, whitney2_row])
+@pytest.mark.parametrize("m", [0, -2, True, 2.0, Fraction(2)])
+def test_arrays_gate_m_as_the_row_store_does(build, m):
+    # m = 0 used to divide by zero in whitney1_array and give the Pascal
+    # array in whitney2_array
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        build(m, 1, 3)
