@@ -57,7 +57,7 @@ def fraction_sum(terms):
     return Poly(out)
 
 
-@settings(max_examples=60, deadline=None)
+@FEW
 @given(st.lists(st.tuples(st.one_of(rats, st.just(0)), polys), max_size=6))
 def test_lincomb_is_the_written_out_sum(terms):
     got = lincomb(iter(terms))
