@@ -18,6 +18,7 @@ from .enumeration import (
 from .errors import (
     BadConstantTerm,
     BadGrid,
+    BadParameter,
     InstanceTooLarge,
     NotInvertible,
     NotSolvable,

@@ -44,6 +44,7 @@ import os
 from functools import lru_cache
 
 from .errors import InstanceTooLarge
+from .qformat import count
 
 DEFAULT_MAX_LABELS = 12
 MAX_LABELS_ENV = "WHITNEY_ORACLE_MAX_LABELS"
@@ -60,14 +61,9 @@ def _max_labels() -> int:
 
 
 def _guard(n, k, m, r):
-    for name, v in (("n", n), ("k", k), ("m", m), ("r", r)):
-        # a bool would walk as 0 or 1, and a float would fail inside the walk
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError("%s must be an integer, got %r" % (name, v))
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if n < 0 or k < 0 or r < 0:
-        raise ValueError("n, k, r must be nonnegative")
+    # a bool would walk as 0 or 1, and a float would fail inside the walk
+    for name, v, least in (("n", n, 0), ("k", k, 0), ("m", m, 1), ("r", r, 0)):
+        count(v, name, least)
     cap = _max_labels()
     if n + r > cap:
         raise InstanceTooLarge(

@@ -37,5 +37,9 @@ class UnknownIdentity(WhitneyError):
     """No identity check is registered under the given name."""
 
 
-class BadGrid(WhitneyError, ValueError):
+class BadParameter(WhitneyError, ValueError):
+    """A count parameter (m, n, k, ...) is not an int of the allowed range."""
+
+
+class BadGrid(BadParameter):
     """An identity grid is malformed or evaluates no points."""

@@ -7,8 +7,8 @@ at a time by its image.  Iterating the derivative of the rule set
 triangle row by row, which this module exposes directly.
 """
 
-from .errors import StrayMonomial
-from .qformat import canonical
+from .errors import BadParameter, StrayMonomial
+from .qformat import canonical, count, rat_str
 
 # variable order is (y, x); exponent keys are (a, b) for y^a x^b
 
@@ -112,8 +112,7 @@ class Grammar:
 
 def whitney_grammar(m: int) -> Grammar:
     """Rules y -> y x^m, x -> x."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    count(m, "m", 1)
     return Grammar(XYPoly.monomial(1, m), XYPoly.monomial(0, 1))
 
 
@@ -143,9 +142,7 @@ def derive_once(g: Grammar, p: XYPoly) -> XYPoly:
 
 
 def derive_n(g: Grammar, p: XYPoly, n: int) -> XYPoly:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    for _ in range(n):
+    for _ in range(count(n, "n")):
         p = derive_once(g, p)
     return p
 
@@ -171,10 +168,8 @@ def whitney_row_from_grammar(m: int, r: int, n: int) -> list:
     An integral r is taken as an int, so the row's types do not depend on
     how r arrived.
     """
-    r = canonical(r)
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if r < 0 or n < 0:
-        raise ValueError("r and n must be nonnegative")
-    p = derive_n(whitney_grammar(m), XYPoly.monomial(1, r), n)
+    g, r = whitney_grammar(m), canonical(r)
+    if r < 0:
+        raise BadParameter("r must be nonnegative, got %s" % rat_str(r))
+    p = derive_n(g, XYPoly.monomial(1, r), n)
     return row_from_derivative(p, m, r, n)

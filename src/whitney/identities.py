@@ -30,11 +30,11 @@ from itertools import product
 from math import comb, factorial, lcm
 from operator import mul
 
-from .errors import BadGrid, UnknownIdentity
+from .errors import BadGrid, BadParameter, UnknownIdentity
 from .grammar import XYPoly, derive_n, whitney_grammar
 from .operators import forward_difference_op, scaled_log_op, shift_op
 from .poly import Poly, lincomb, stepped_product
-from .qformat import rat_str
+from .qformat import count, rat_str
 from .riordan import connection_constants
 from .series import Egf, _first_kind_base, expm1_scaled, log1p_scaled
 from .triangles import (
@@ -647,16 +647,16 @@ def _lookup(name) -> IdentityCheck:
 
 
 def _gate(name, grid):
-    """Reject bounds no walk can take: a negative max_n or max_h, or an m
-    that is not a positive int."""
-    for key in ("max_n", "max_h"):
-        if key in grid and (not isinstance(grid[key], int) or grid[key] < 0):
-            raise BadGrid(
-                "identity %r: %s must be a nonnegative integer, got %r" % (name, key, grid[key])
-            )
-    for m in grid.get("m", ()):
-        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-            raise BadGrid("identity %r: m must be a positive integer, got %r" % (name, m))
+    """Reject bounds no walk can take: a max_n or max_h that is not a
+    nonnegative int, or an m that is not a positive int."""
+    try:
+        for key in ("max_n", "max_h"):
+            if key in grid:
+                count(grid[key], key)
+        for m in grid.get("m", ()):
+            count(m, "m", 1)
+    except BadParameter as exc:
+        raise BadGrid("identity %r: %s" % (name, exc)) from None
 
 
 def _render(v):

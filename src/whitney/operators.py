@@ -11,6 +11,7 @@ from math import factorial
 
 from .errors import SeriesTooShort
 from .poly import Poly, lincomb
+from .qformat import count
 from .series import Egf
 
 
@@ -56,14 +57,17 @@ def derivative_op(order: int) -> DiffOpSeries:
 
 def forward_difference_op(m, order: int) -> DiffOpSeries:
     """(E^m - I)/m."""
+    count(m, "m", 1)
     return DiffOpSeries(Fraction(1, m) * (Egf.exp_linear(m, order) - Egf.one(order)))
 
 
 def scaled_log_op(m, order: int) -> DiffOpSeries:
     """ln(1 + mD)/m, the delta operator whose basic family has steps of m."""
+    count(m, "m", 1)
     return DiffOpSeries(Fraction(1, m) * Egf.one_plus_ct(m, order).log())
 
 
 def binomial_power_op(m, q, order: int) -> DiffOpSeries:
     """(1 + mD)^q for rational q."""
+    count(m, "m", 1)
     return DiffOpSeries(Egf.one_plus_ct(m, order).pow(q))

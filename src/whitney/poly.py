@@ -10,7 +10,7 @@ rounds.  Values are immutable and safe to share.
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .qformat import canonical, exact
+from .qformat import canonical, count, exact
 
 
 def _convolve(a, b, n):
@@ -142,10 +142,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
         out = Poly((1,))
-        for _ in range(n):
+        for _ in range(count(n, "exponent")):
             out = out * self
         return out
 
@@ -188,8 +186,7 @@ def _stepped_coeffs(n: int, m, shift=0):
 
     Yields one list, stepped in place by each factor; copy it to keep a row.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    count(n, "n")
     shift = canonical(shift)  # an integral shift steps in int arithmetic
     cs = [1]
     yield cs

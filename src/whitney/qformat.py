@@ -1,8 +1,11 @@
-"""Exact rationals: the exactness gate, the canonical form (an int when the
-denominator is 1, so integral values compute in ints whatever type they
-arrived as), and "p/q" strings (integers as "p")."""
+"""Exact rationals and counts: the exactness gate, the canonical form (an
+int when the denominator is 1, so integral values compute in ints whatever
+type they arrived as), "p/q" strings (integers as "p"), and the parameter
+gate every entry point applies to m, n and k."""
 
 from fractions import Fraction
+
+from .errors import BadParameter
 
 
 def exact(x):
@@ -10,6 +13,15 @@ def exact(x):
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise ValueError("expected an exact rational (int or Fraction), got %r" % (x,))
     return x
+
+
+def count(v, name, least=0):
+    """v itself if it is an int, not a bool, of at least `least` (0 or 1);
+    anything else raises BadParameter, which is a ValueError."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+        raise BadParameter("%s must be a %s integer, got %r"
+                           % (name, "positive" if least else "nonnegative", v))
+    return v
 
 
 def canonical(x):

@@ -21,8 +21,8 @@ from fractions import Fraction
 
 from .errors import NotInvertible, NotSolvable, OrderExceeded
 from .poly import Poly, _convolve
-from .qformat import exact, rat_str
-from .series import Egf, _check_m, _first_kind_base, _ord_compose, expm1_scaled, log1p_scaled
+from .qformat import count, exact, rat_str
+from .series import Egf, _first_kind_base, _ord_compose, expm1_scaled, log1p_scaled
 
 
 class ExpRiordan:
@@ -63,7 +63,7 @@ class ExpRiordan:
     def entry(self, n: int, k: int) -> Fraction:
         if n > self.order or k > self.order:
             raise OrderExceeded("entry (%d,%d) beyond order %d" % (n, k, self.order))
-        if k > n or n < 0 or k < 0:
+        if not 0 <= k <= n:
             return Fraction(0)
         return self._col(k).a[n]
 
@@ -155,7 +155,7 @@ class OrdRiordan:
     def entry(self, n: int, k: int) -> Fraction:
         if n > self.order or k > self.order:
             raise OrderExceeded("entry (%d,%d) beyond order %d" % (n, k, self.order))
-        if k > n or n < 0 or k < 0:
+        if not 0 <= k <= n:
             return Fraction(0)
         return self._col(k)[n]
 
@@ -218,7 +218,7 @@ def identity_array(order: int) -> ExpRiordan:
 
 def whitney2_array(m: int, r, order: int) -> ExpRiordan:
     """<e^{rt}, (e^{mt} - 1)/m>: the second-kind triangle as a Riordan array."""
-    _check_m(m)
+    count(m, "m", 1)
     return ExpRiordan(Egf.exp_linear(r, order), expm1_scaled(m, order))
 
 

@@ -26,7 +26,7 @@ from math import factorial, lcm
 
 from .errors import BadConstantTerm, NotInvertible, OrderExceeded
 from .poly import _convolve
-from .qformat import exact, parse_rat, rat_str
+from .qformat import count, exact, parse_rat, rat_str
 
 
 def _ord_compose(f, g, n):
@@ -290,14 +290,9 @@ class Egf:
         return cls(coeffs)
 
 
-def _check_m(m):
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError("m must be a positive integer")
-
-
 def _first_kind_base(m, r, order: int) -> Egf:
     """(1 + mt)^{-r/m}, the column-0 series of the first-kind triangle."""
-    _check_m(m)
+    count(m, "m", 1)
     return Egf.one_plus_ct(m, order).pow(Fraction(-exact(r), m))
 
 

@@ -29,8 +29,8 @@ from math import comb, lcm
 
 from .errors import WhitneyError
 from .poly import Poly, _stepped_coeffs, stepped_product
-from .qformat import canonical, parse_rat, rat_str
-from .series import Egf, _check_m, _first_kind_base, expm1_scaled, log1p_scaled
+from .qformat import canonical, count, parse_rat, rat_str
+from .series import Egf, _first_kind_base, expm1_scaled, log1p_scaled
 
 TRIANGLE_KINDS = ("whitney2", "whitney1", "mstirling2", "mstirling1")
 FAMILY_KINDS = (
@@ -69,7 +69,7 @@ _ROWS = {}  # (kind, m, r) -> [row 0, row 1, ...]
 
 def _rows(kind, m, r, n):
     """The stored rows of `kind` at (m, r), grown until row n is among them."""
-    _check_m(m)
+    count(m, "m", 1)
     # a bool or float r would compare equal to, and so share or poison, an
     # exact entry; an integral Fraction r is keyed and stepped as an int
     r = canonical(r)
@@ -81,9 +81,7 @@ def _rows(kind, m, r, n):
 
 
 def _row(kind, m, r, n) -> tuple:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _rows(kind, m, r, n)[n]
+    return _rows(kind, m, r, count(n, "n"))[n]
 
 
 # -- second kind ------------------------------------------------------
@@ -108,7 +106,8 @@ def _columns(col, step, n):
 
 def whitney2_row_egf(m: int, r, n: int) -> list:
     """Row n extracted from the column series e^{rz} ((e^{mz}-1)/m)^k / k!."""
-    _check_m(m)
+    count(m, "m", 1)
+    count(n, "n")
     return [col[n] for col in _columns(Egf.exp_linear(r, n), expm1_scaled(m, n), n)]
 
 
@@ -121,6 +120,7 @@ def whitney1_row(m: int, r, n: int) -> list:
 
 def whitney1_row_egf(m: int, r, n: int) -> list:
     """Row n straight from the defining column series."""
+    count(n, "n")
     return [col[n] for col in _columns(_first_kind_base(m, r, n), log1p_scaled(m, n), n)]
 
 
@@ -133,8 +133,7 @@ def m_stirling2_row(m: int, n: int) -> list:
 
 def m_stirling1_row(m: int, n: int) -> list:
     """Power-basis coefficients of x(x-m)...(x-(n-1)m), padded to length n+1."""
-    _check_m(m)
-    p = stepped_product(n, m, 0)
+    p = touchard_inverse_poly(m, n)
     return [p.coeff(i) for i in range(n + 1)]
 
 
@@ -146,7 +145,7 @@ def touchard_poly(m: int, n: int) -> Poly:
 
 
 def touchard_inverse_poly(m: int, n: int) -> Poly:
-    return stepped_product(n, m, 0)
+    return dowling_inverse_poly(m, 0, n)
 
 
 def dowling_poly(m: int, r, n: int) -> Poly:
@@ -154,7 +153,7 @@ def dowling_poly(m: int, r, n: int) -> Poly:
 
 
 def dowling_inverse_poly(m: int, r, n: int) -> Poly:
-    return stepped_product(n, m, r)
+    return stepped_product(n, count(m, "m", 1), r)
 
 
 # The longest Bernoulli and Euler tuples computed so far.  Truncation
@@ -163,8 +162,7 @@ _PREFIXES = {}
 
 
 def _prefix(name, n, build):
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    count(n, "n")
     have = _PREFIXES.get(name, ())
     if len(have) <= n:
         have = _PREFIXES[name] = build(n)
@@ -202,6 +200,7 @@ def cauchy_numbers(n: int) -> list:
     Computed twice: by exact integration of the expanded product and as
     the coefficients of t/ln(1+t).  The two routes must agree.
     """
+    count(n, "n")
     by_integral, cs, span = [], [1], 1
     for j in range(n + 1):
         if j:  # times (x - (j-1)): c_k <- c_{k-1} - (j-1) c_k
@@ -216,7 +215,7 @@ def cauchy_numbers(n: int) -> list:
 
 
 def bell_numbers(n: int) -> list:
-    return [touchard_poly(1, j)(1) for j in range(n + 1)]
+    return [touchard_poly(1, j)(1) for j in range(count(n, "n") + 1)]
 
 
 def family(kind: str, n: int, m: int = None, r=None) -> Poly:
@@ -228,8 +227,6 @@ def family(kind: str, n: int, m: int = None, r=None) -> Poly:
 
 def classical_seq(kind: str, n: int) -> list:
     """First n+1 values of the named number sequence."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     if kind == "bernoulli-numbers":
         return bernoulli_numbers(n)
     if kind == "euler-zero-values":
@@ -250,7 +247,7 @@ class Triangle:
 
     kind: str
     m: int
-    r: object  # exact rational as given; None for the r-free triangle kinds
+    r: object  # canonical exact rational (an int when integral); None for the r-free triangle kinds
     rows: tuple
 
     def to_csv(self) -> str:
@@ -271,15 +268,14 @@ class Triangle:
 def build_triangle(kind: str, m: int, r, n: int) -> Triangle:
     """Rows 0..n of a triangle kind, or of a family's coefficient triangle
     (row j: the degree-j member; a family reports r whether it uses r or not)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    count(n, "n")
     if kind in ("whitney2", "whitney1", "dowling"):
         rows = _rows("whitney1" if kind == "whitney1" else "whitney2", m, r, n)[: n + 1]
     elif kind in ("mstirling2", "touchard"):
         rows = _rows("whitney2", m, 0, n)[: n + 1]
     elif kind in ("mstirling1", "touchard-inverse", "dowling-inverse"):
         # row j is the product of the first j factors: one list, stepped
-        _check_m(m)
+        count(m, "m", 1)
         shift = r if kind == "dowling-inverse" else 0
         rows = [tuple(cs) for cs in _stepped_coeffs(n, m, shift)]
     elif kind in ("bernoulli", "euler"):

@@ -218,12 +218,16 @@ def test_verify_all_reduced_grid(capsys):
         (("verify", "lemma-grammar-dowling", "--r", "-1"), "'lemma-grammar-dowling': r must be nonnegative, got -1"),
         (("verify", "all", "--r", "-1"), "'lemma-grammar-dowling': r must be nonnegative, got -1"),
         (("verify", "all", "--r", "2", "--r=-5/3"), "'lemma-grammar-dowling': r must be nonnegative, got -5/3"),
+        (("oracle-compare", "--n", "-1", "--k", "0", "--m", "1", "--r", "0"), "n must be a nonnegative integer"),
+        (("oracle-compare", "--n", "3", "--k", "-1", "--m", "1", "--r", "0"), "k must be a nonnegative integer"),
+        (("oracle-compare", "--n", "3", "--k", "1", "--m", "1", "--r", "-1"), "r must be a nonnegative integer"),
     ],
     ids=[
         "verify-negative-n", "verify-negative-n-egf", "verify-m0", "table-m0", "series-m0",
         "oracle-over-cap", "verify-r-zero-denominator", "table-r-zero-denominator",
         "series-w2-negative-k", "series-w1-negative-k", "verify-grammar-negative-r",
         "verify-all-negative-r", "verify-all-negative-rational-r",
+        "oracle-negative-n", "oracle-negative-k", "oracle-negative-r",
     ],
 )
 def test_bad_input_exits_2_without_output(capsys, argv, message):

@@ -11,10 +11,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from whitney.errors import BadParameter, WhitneyError
+from whitney.grammar import whitney_row_from_grammar
+from whitney.identities import run_check
+from whitney.operators import binomial_power_op, forward_difference_op, scaled_log_op
 from whitney.poly import Poly, _convolve, stepped_product
 from whitney.riordan import OrdRiordan, whitney1_array
 from whitney.series import Egf, expm1_scaled, log1p_scaled
-from whitney.triangles import bernoulli_numbers, euler_zero_values, whitney1_row_egf, whitney2_row_egf
+from whitney.triangles import (
+    bernoulli_numbers,
+    cauchy_numbers,
+    dowling_inverse_poly,
+    euler_zero_values,
+    touchard_inverse_poly,
+    whitney1_row_egf,
+    whitney2_row,
+    whitney2_row_egf,
+)
 
 FEW = settings(max_examples=40, deadline=None)
 
@@ -178,6 +191,45 @@ def test_newton_reverse_at_every_order(order):
 def test_inexact_coefficients_are_refused(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: forward_difference_op(0, 3),
+        lambda: scaled_log_op(0, 3),
+        lambda: binomial_power_op(0, 1, 3),
+        lambda: scaled_log_op(-2, 3),
+        lambda: whitney_row_from_grammar(True, 1, 3),
+        lambda: whitney_row_from_grammar(2.0, 1, 3),
+        lambda: whitney2_row(2, 1, True),
+        lambda: whitney2_row(2, 1, 3.0),
+        lambda: whitney2_row_egf(2, 1, -1),
+        lambda: whitney1_row_egf(2, 1, -1),
+        lambda: cauchy_numbers(-1),
+        lambda: touchard_inverse_poly(0, 3),
+        lambda: dowling_inverse_poly(-1, 1, 3),
+        lambda: run_check("spivey", {"max_n": True}),
+    ],
+    ids=[
+        "forward-difference-m0", "scaled-log-m0", "binomial-power-m0", "scaled-log-negative-m",
+        "grammar-bool-m", "grammar-float-m", "whitney2-row-bool-n", "whitney2-row-float-n",
+        "whitney2-row-egf-negative-n", "whitney1-row-egf-negative-n", "cauchy-negative-n",
+        "touchard-inverse-m0", "dowling-inverse-negative-m", "identity-bool-max-n",
+    ],
+)
+def test_bad_parameters_are_refused(build):
+    # m must be a positive int and n, k, max_n nonnegative ints, at every entry point
+    with pytest.raises(BadParameter) as info:
+        build()
+    assert isinstance(info.value, WhitneyError) and isinstance(info.value, ValueError)
+
+
+def test_count_gate_leaves_rational_steps_and_shifts():
+    # a stepped product's step and a grammar's r are exact rationals, not counts
+    assert stepped_product(2, Fraction(1, 2), Fraction(5, 2)) == Poly([Fraction(15, 2), Fraction(-11, 2), 1])
+    row = whitney_row_from_grammar(2, Fraction(3), 3)
+    assert row == whitney2_row(2, 3, 3) and all(type(c) is int for c in row)
 
 
 def test_egf_stores_a_fraction_subclass_as_a_plain_fraction():
