@@ -135,7 +135,7 @@ def _series_for(args):
         arr = riordan.whitney2_array(args.m, args.r, args.order)
     else:  # whitney1-column
         arr = riordan.whitney1_array(args.m, args.r, args.order)
-    return Egf([arr.entry(n, args.k) for n in range(args.order + 1)])
+    return arr.column(args.k)
 
 
 def _cmd_series(args, out):

@@ -260,8 +260,8 @@ def _egf_whitney2(grid):
     for m, r in _mr(grid):
         rows = _rows("whitney2", m, r, n_max)[: n_max + 1]
         cols = _columns(Egf.exp_linear(r, n_max), expm1_scaled(m, n_max), n_max)
-        for k, lhs in enumerate(cols):
-            yield {"m": m, "r": r, "k": k}, lhs, [row[k] if k < len(row) else 0 for row in rows]
+        for k, col in enumerate(cols):
+            yield {"m": m, "r": r, "k": k}, list(col.a), [row[k] if k < len(row) else 0 for row in rows]
 
 
 @_identity("egf-dowling", "exp(rt + u(e^{mt}-1)/m) generates the Dowling row polynomials",

@@ -1,7 +1,8 @@
-"""Dense univariate polynomials over exact rationals, the one product
-kernel that every truncated series product in the package goes through,
-and ``lincomb``, the sum of scaled polynomials that the identity
-evaluators and the derivative-series operators build their sides with.
+"""Dense univariate polynomials over exact rationals; ``_convolve``, the
+ordinary-coefficient product under ``Poly``, ``OrdRiordan`` and one of the
+two forms of the ``Egf`` product; and ``lincomb``, the sum of scaled
+polynomials that the identity evaluators and the derivative-series
+operators build their sides with.
 
 Coefficients may be ``int`` or ``fractions.Fraction``; arithmetic never
 rounds.  Values are immutable and safe to share.
@@ -187,6 +188,7 @@ def _stepped_coeffs(n: int, m, shift=0):
     Yields one list, stepped in place by each factor; copy it to keep a row.
     """
     count(n, "n")
+    m = exact(m)  # the step is any exact rational, not a count
     shift = canonical(shift)  # an integral shift steps in int arithmetic
     cs = [1]
     yield cs

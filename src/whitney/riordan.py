@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import NotInvertible, NotSolvable, OrderExceeded
 from .poly import Poly, _convolve
 from .qformat import count, exact, rat_str
-from .series import Egf, _first_kind_base, _ord_compose, expm1_scaled, log1p_scaled
+from .series import Egf, _first_kind_base, expm1_scaled, log1p_scaled
 
 
 class ExpRiordan:
@@ -34,11 +34,11 @@ class ExpRiordan:
         order = min(g.order, f.order)
         g = g.truncate(order)
         f = f.truncate(order)
-        if g.a[0] == 0:
+        if g.coeff(0) == 0:
             raise NotInvertible("g must not vanish at 0")
-        if f.a[0] != 0:
+        if f.coeff(0) != 0:
             raise NotInvertible("f must vanish at 0")
-        if order < 1 or f.a[1] == 0:
+        if order < 1 or f.coeff(1) == 0:
             raise NotInvertible("f must have a nonzero linear term")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "f", f)
@@ -52,20 +52,27 @@ class ExpRiordan:
         return self.g.order
 
     def _col(self, k: int) -> Egf:
-        # column k stores g f^k / k!; the dict cache is idempotent, so a
-        # racing reader at worst recomputes the same value
+        # column k stores g f^k / k!: column k - 1 times f, with k multiplied
+        # into the denominator; the dict cache is idempotent, so a racing
+        # reader at worst recomputes the same value
         col = self._cols.get(k)
         if col is None:
-            col = Fraction(1, k) * self._col(k - 1).mul(self.f)
+            col = self._col(k - 1).mul(self.f, k)
             self._cols[k] = col
         return col
+
+    def column(self, k: int) -> Egf:
+        """Column k as a series: its EGF coefficient n is entry (n, k)."""
+        if not 0 <= k <= self.order:
+            raise OrderExceeded("column %d beyond order %d" % (k, self.order))
+        return self._col(k)
 
     def entry(self, n: int, k: int) -> Fraction:
         if n > self.order or k > self.order:
             raise OrderExceeded("entry (%d,%d) beyond order %d" % (n, k, self.order))
         if not 0 <= k <= n:
             return Fraction(0)
-        return self._col(k).a[n]
+        return self._col(k).coeff(n)
 
     def rows(self, n: int = None) -> list:
         if n is None:
@@ -176,8 +183,8 @@ class OrdRiordan:
         w = [-self.g[0] * c for c in inv_g]
         w[0] += 1  # w = 1 - g(0)/g, vanishes at 0
         hz = w[1:]  # (1 - g(0)/g) / z
-        fbar = Egf.from_ordinary(self.f).reverse().ordinary()
-        z = _ord_compose(hz, list(fbar), n - 1)
+        fbar = Egf.from_ordinary(self.f).reverse()
+        z = Egf.from_ordinary(hz).compose(fbar).ordinary()
         if j_max is None:
             j_max = n - 1
         if j_max > n - 1:

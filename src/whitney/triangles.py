@@ -92,23 +92,21 @@ def whitney2_row(m: int, r, n: int) -> list:
 
 
 def _columns(col, step, n):
-    """EGF coefficients of the series col * step^k / k!, for k = 0..n in turn.
+    """The series col * step^k / k!, for k = 0..n in turn.
 
-    Column k + 1 is column k times the step series, carried along k.
+    Column k + 1 is column k times the step series over k + 1.
     """
-    kfact = 1
     for k in range(n + 1):
-        yield [c / kfact for c in col.a]
+        yield col
         if k < n:
-            col = col.mul(step)
-            kfact *= k + 1
+            col = col.mul(step, k + 1)
 
 
 def whitney2_row_egf(m: int, r, n: int) -> list:
     """Row n extracted from the column series e^{rz} ((e^{mz}-1)/m)^k / k!."""
     count(m, "m", 1)
     count(n, "n")
-    return [col[n] for col in _columns(Egf.exp_linear(r, n), expm1_scaled(m, n), n)]
+    return [col.coeff(n) for col in _columns(Egf.exp_linear(r, n), expm1_scaled(m, n), n)]
 
 
 # -- first kind -------------------------------------------------------
@@ -121,7 +119,7 @@ def whitney1_row(m: int, r, n: int) -> list:
 def whitney1_row_egf(m: int, r, n: int) -> list:
     """Row n straight from the defining column series."""
     count(n, "n")
-    return [col[n] for col in _columns(_first_kind_base(m, r, n), log1p_scaled(m, n), n)]
+    return [col.coeff(n) for col in _columns(_first_kind_base(m, r, n), log1p_scaled(m, n), n)]
 
 
 # -- r = 0 specializations ---------------------------------------------
