@@ -35,10 +35,9 @@ from .grammar import XYPoly, derive_n, whitney_grammar
 from .operators import forward_difference_op, scaled_log_op, shift_op
 from .poly import Poly, lincomb, stepped_product
 from .qformat import count, rat_str
-from .riordan import connection_constants
-from .series import Egf, _first_kind_base, expm1_scaled, log1p_scaled
+from .riordan import connection_constants, whitney1_array, whitney2_array
+from .series import Egf, expm1_scaled
 from .triangles import (
-    _columns,
     _rows,
     bernoulli_numbers,
     bernoulli_poly,
@@ -130,10 +129,6 @@ def _sheffer_pair_bernoulli(order):
 
 def _sheffer_pair_euler(order):
     return (Fraction(1, 2) * (Egf.exp_linear(1, order) + Egf.one(order)), Egf.t(order))
-
-
-def _sheffer_pair_dowling(m, r, order):
-    return (_first_kind_base(m, r, order), log1p_scaled(m, order))
 
 
 # -- registry ------------------------------------------------------------
@@ -244,6 +239,13 @@ def _identity(name, summary, mode, axes=None, grid=None, bind=None, variant=None
 _MRN = ("m", "r", "n")
 
 
+def _sides(lhs_row, rhs, entrywise):
+    """Both sides as polynomials, or entrywise: the row against rhs's coefficients."""
+    if entrywise:
+        return lhs_row, [rhs.coeff(k) for k in range(len(lhs_row))]
+    return Poly(lhs_row), rhs
+
+
 def _n_from_one(grid):
     return range(1, grid["max_n"] + 1)
 
@@ -256,12 +258,14 @@ def _n_from_one(grid):
            "column k series of the second-kind triangle is e^{rz}((e^{mz}-1)/m)^k/k!",
            "numeric-at-points")
 def _egf_whitney2(grid):
+    # an array needs order 1 at least; each column is cut back to order max_n
     n_max = grid["max_n"]
     for m, r in _mr(grid):
         rows = _rows("whitney2", m, r, n_max)[: n_max + 1]
-        cols = _columns(Egf.exp_linear(r, n_max), expm1_scaled(m, n_max), n_max)
-        for k, col in enumerate(cols):
-            yield {"m": m, "r": r, "k": k}, list(col.a), [row[k] if k < len(row) else 0 for row in rows]
+        arr = whitney2_array(m, r, max(n_max, 1))
+        for k in range(n_max + 1):
+            lhs = list(arr.column(k).a[: n_max + 1])
+            yield {"m": m, "r": r, "k": k}, lhs, [row[k] if k < len(row) else 0 for row in rows]
 
 
 @_identity("egf-dowling", "exp(rt + u(e^{mt}-1)/m) generates the Dowling row polynomials",
@@ -303,9 +307,8 @@ def _lemma_grammar_dowling(grid):
 @_identity("dowling-shift", "D_{m,r+l}(n,u) = sum_k C(n,k) l^{n-k} D_{m,r}(k,u)",
            "polynomial-in-u", ("m", "r", "l", "n"), grid={"l": (0, 1, 2, 3)})
 def _dowling_shift(m, r, l, n):
-    d = _rows("whitney2", m, r, n)
-    rhs = lincomb((comb(n, k) * l ** (n - k), d[k]) for k in range(n + 1))
-    return dowling_poly(m, r + l, n), rhs
+    # r-shift-s read at (r + l, r)
+    return _r_shift_s(m, r + l, r, n, entrywise=False)
 
 
 @_identity("spivey", "D(n+h,u) = sum_{k,j} C(n,k) D(k,u) W(h,j) u^j (jm)^{n-k}",
@@ -326,52 +329,31 @@ def _spivey(grid, entrywise):
                      for j in range(max_h + 1)]
             for h in range(max_h + 1):
                 rhs = lincomb((d[h][j], inner[j]) for j in range(h + 1))
-                if entrywise:
-                    lhs, rhs = whitney2_row(m, r, n + h), [rhs.coeff(s) for s in range(n + h + 1)]
-                else:
-                    lhs = dowling_poly(m, r, n + h)
-                yield {"m": m, "r": r, "n": n, "h": h}, lhs, rhs
+                yield ({"m": m, "r": r, "n": n, "h": h},
+                       *_sides(whitney2_row(m, r, n + h), rhs, entrywise))
 
 
 @_identity("dowling-recurrence", "D(n+1,u) = r D(n,u) + u sum_j C(n,j) m^{n-j} D(j,u)",
-           "polynomial-in-u", _MRN)
-def _dowling_recurrence(m, r, n):
+           "polynomial-in-u", _MRN, bind={"entrywise": False})
+@_identity("whitney-recurrence", "W(n+1,k) = r W(n,k) + sum_j C(n,j) m^{n-j} W(j,k-1)",
+           "numeric-at-points", _MRN, bind={"entrywise": True})
+def _dowling_recurrence(m, r, n, entrywise):
     # u times the sum is taken inside it, one x-shifted row a term
     d = _rows("whitney2", m, r, n + 1)
     terms = [(comb(n, j) * m ** (n - j), (0,) + d[j]) for j in range(n + 1)]
-    return dowling_poly(m, r, n + 1), lincomb([(r, d[n])] + terms)
-
-
-@_identity("whitney-recurrence", "W(n+1,k) = r W(n,k) + sum_j C(n,j) m^{n-j} W(j,k-1)",
-           "numeric-at-points", _MRN)
-def _whitney_recurrence(m, r, n):
-    # W(n, n+1) and W(j, -1) are 0; W(j, k-1) is 0 for j < k-1
-    W = _rows("whitney2", m, r, n)
-    rhs = [
-        (r * W[n][k] if k <= n else 0)
-        + (sum(comb(n, j) * m ** (n - j) * W[j][k - 1] for j in range(k - 1, n + 1)) if k else 0)
-        for k in range(n + 2)
-    ]
-    return whitney2_row(m, r, n + 1), rhs
+    return _sides(whitney2_row(m, r, n + 1), lincomb([(r, d[n])] + terms), entrywise)
 
 
 @_identity("r-shift-s", "D_{m,r}(n,u) = sum_j C(n,j) (r-s)^{n-j} D_{m,s}(j,u)",
-           "polynomial-in-u", ("m", "r", "s", "n"), grid={"s": (0, 1, 2, 3)})
-def _r_shift_s(m, r, s, n):
+           "polynomial-in-u", ("m", "r", "s", "n"), grid={"s": (0, 1, 2, 3)},
+           bind={"entrywise": False})
+@_identity("whitney-r-shift", "W_{m,r}(n,k) = sum_j C(n,j) (r-s)^{n-j} W_{m,s}(j,k)",
+           "numeric-at-points", ("m", "r", "s", "n"), grid={"s": (0, 1, 2, 3)},
+           bind={"entrywise": True})
+def _r_shift_s(m, r, s, n, entrywise):
     d = _rows("whitney2", m, s, n)
     rhs = lincomb((comb(n, j) * (r - s) ** (n - j), d[j]) for j in range(n + 1))
-    return dowling_poly(m, r, n), rhs
-
-
-@_identity("whitney-r-shift", "W_{m,r}(n,k) = sum_j C(n,j) (r-s)^{n-j} W_{m,s}(j,k)",
-           "numeric-at-points", ("m", "r", "s", "n"), grid={"s": (0, 1, 2, 3)})
-def _whitney_r_shift(m, r, s, n):
-    W = _rows("whitney2", m, s, n)  # W(j, k) is 0 for j < k
-    rhs = [
-        sum(comb(n, j) * (r - s) ** (n - j) * W[j][k] for j in range(k, n + 1))
-        for k in range(n + 1)
-    ]
-    return whitney2_row(m, r, n), rhs
+    return _sides(whitney2_row(m, r, n), rhs, entrywise)
 
 
 @_identity("touchard-binomial", "the generalized Touchard family is of binomial type",
@@ -490,7 +472,8 @@ def _corrected(grid, source, family):
     order = max(n_max, 1)
     fam = [family(k) for k in range(n_max + 1)]
     for m, r in _mr(grid):
-        arr = connection_constants(source(order), _sheffer_pair_dowling(m, r, order))
+        dowling = whitney1_array(m, r, order)
+        arr = connection_constants(source(order), (dowling.g, dowling.f))
         for n in range(n_max + 1):
             rhs = lincomb((arr.entry(n, k), fam[k]) for k in range(n + 1))
             yield {"m": m, "r": r, "n": n}, dowling_poly(m, r, n), rhs

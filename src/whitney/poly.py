@@ -182,16 +182,17 @@ class Poly:
         return "Poly(%r)" % (list(self.coeffs),)
 
 
-def _stepped_coeffs(n: int, m, shift=0):
-    """Coefficients of the stepped product of its first j factors, j = 0..n.
+def stepped_product(n: int, m, shift=0) -> Poly:
+    """(x - shift)(x - shift - m)...(x - shift - (n-1)m); the empty product is 1.
 
-    Yields one list, stepped in place by each factor; copy it to keep a row.
+    Multiplied out one factor at a time, independently of the row store,
+    so it serves as the reference for the first-kind rows; the step m is
+    any exact rational, not a count.
     """
     count(n, "n")
-    m = exact(m)  # the step is any exact rational, not a count
+    m = exact(m)
     shift = canonical(shift)  # an integral shift steps in int arithmetic
     cs = [1]
-    yield cs
     for j in range(n):
         # times (x - s): c_k <- c_{k-1} - s c_k, from the top down
         s = shift + j * m
@@ -199,12 +200,6 @@ def _stepped_coeffs(n: int, m, shift=0):
         for k in range(len(cs) - 2, 0, -1):
             cs[k] = cs[k - 1] - s * cs[k]
         cs[0] = -s * cs[0]
-        yield cs
-
-
-def stepped_product(n: int, m, shift=0) -> Poly:
-    """(x - shift)(x - shift - m)...(x - shift - (n-1)m); the empty product is 1."""
-    *_, cs = _stepped_coeffs(n, m, shift)
     return Poly(cs)
 
 

@@ -1,8 +1,11 @@
 """Exact rationals and counts: the exactness gate, the canonical form (an
 int when the denominator is 1, so integral values compute in ints whatever
-type they arrived as), "p/q" strings (integers as "p"), and the parameter
-gate every entry point applies to m, n and k."""
+type they arrived as), "p/q" strings (integers as "p") of any length, and
+the parameter gate every entry point applies to m, n and k.  Past Python's
+int/str digit limit (sys.get_int_max_str_digits()), which is never changed,
+the strings are converted in pieces split at a power of ten."""
 
+import re
 from fractions import Fraction
 
 from .errors import BadParameter
@@ -30,13 +33,40 @@ def canonical(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _int_str(v: int) -> str:
+    try:
+        return str(v)
+    except ValueError:  # beyond the digit limit
+        if v < 0:
+            return "-" + _int_str(-v)
+        k = v.bit_length() * 3 // 20  # about half of v's digits
+        hi, lo = divmod(v, 10 ** k)
+        return _int_str(hi) + _int_str(lo).zfill(k)
+
+
+def _str_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # beyond the digit limit
+        k = len(digits) // 2
+        return _str_int(digits[:-k]) * 10 ** k + _str_int(digits[-k:])
+
+
 def rat_str(x) -> str:
-    if type(x) is int:
-        return str(x)
-    f = x if type(x) is Fraction else Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
+    try:
+        if type(x) is int:
+            return str(x)
+        f = x if type(x) is Fraction else Fraction(x)
+        if f.denominator == 1:
+            return str(f.numerator)
+        return "%d/%d" % (f.numerator, f.denominator)
+    except ValueError:  # beyond the digit limit
+        f = Fraction(x)
+        p = _int_str(f.numerator)
+        return p if f.denominator == 1 else p + "/" + _int_str(f.denominator)
+
+
+_LONG_RAT = re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
 
 
 def parse_rat(s: str):
@@ -46,3 +76,12 @@ def parse_rat(s: str):
     except ZeroDivisionError:
         # a ValueError, so a command-line "1/0" is a usage error
         raise ValueError("zero denominator in %r" % (s,)) from None
+    except ValueError:
+        match = _LONG_RAT.fullmatch(s.strip())  # beyond the digit limit
+        if match is None:
+            raise
+    sign, p, q = match.groups()
+    p, q = _str_int(p), _str_int(q or "1")
+    if not q:
+        raise ValueError("zero denominator in %r" % (s,))
+    return canonical(Fraction(-p if sign == "-" else p, q))

@@ -19,10 +19,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import qformat
 from .errors import NotInvertible, NotSolvable, OrderExceeded
 from .poly import Poly, _convolve
-from .qformat import count, exact, rat_str
-from .series import Egf, _first_kind_base, expm1_scaled, log1p_scaled
+from .qformat import exact, rat_str
+from .series import Egf, expm1_scaled, log1p_scaled
 
 
 class ExpRiordan:
@@ -53,13 +54,12 @@ class ExpRiordan:
 
     def _col(self, k: int) -> Egf:
         # column k stores g f^k / k!: column k - 1 times f, with k multiplied
-        # into the denominator; the dict cache is idempotent, so a racing
-        # reader at worst recomputes the same value
-        col = self._cols.get(k)
-        if col is None:
-            col = self._col(k - 1).mul(self.f, k)
-            self._cols[k] = col
-        return col
+        # into the denominator, built in turn, so no index recurses; the
+        # cache is idempotent, so a racing reader at worst recomputes
+        cols = self._cols
+        for j in range(len(cols), k + 1):
+            cols[j] = cols[j - 1].mul(self.f, j)
+        return cols[k]
 
     def column(self, k: int) -> Egf:
         """Column k as a series: its EGF coefficient n is entry (n, k)."""
@@ -94,7 +94,7 @@ class ExpRiordan:
         a = fbar.shift_down().inv()  # t/fbar, order drops by one
         if j_max is None:
             j_max = a.order
-        if j_max > a.order:
+        if qformat.count(j_max, "j_max") > a.order:
             raise OrderExceeded("A-sequence available only through index %d" % a.order)
         return list(a.a[: j_max + 1])
 
@@ -187,7 +187,7 @@ class OrdRiordan:
         z = Egf.from_ordinary(hz).compose(fbar).ordinary()
         if j_max is None:
             j_max = n - 1
-        if j_max > n - 1:
+        if qformat.count(j_max, "j_max") > n - 1:
             raise OrderExceeded("Z-sequence available only through index %d" % (n - 1))
         return list(z[: j_max + 1])
 
@@ -225,13 +225,16 @@ def identity_array(order: int) -> ExpRiordan:
 
 def whitney2_array(m: int, r, order: int) -> ExpRiordan:
     """<e^{rt}, (e^{mt} - 1)/m>: the second-kind triangle as a Riordan array."""
-    count(m, "m", 1)
+    qformat.count(m, "m", 1)
     return ExpRiordan(Egf.exp_linear(r, order), expm1_scaled(m, order))
 
 
 def whitney1_array(m: int, r, order: int) -> ExpRiordan:
-    """<(1+mt)^{-r/m}, ln(1+mt)/m>: the first-kind triangle."""
-    return ExpRiordan(_first_kind_base(m, r, order), log1p_scaled(m, order))
+    """<(1+mt)^{-r/m}, ln(1+mt)/m>: the first-kind triangle; its (g, f) is
+    also the Sheffer pair of the Dowling family."""
+    qformat.count(m, "m", 1)
+    g = Egf.one_plus_ct(m, order).pow(Fraction(-exact(r), m))
+    return ExpRiordan(g, log1p_scaled(m, order))
 
 
 def sheffer_polys(g: Egf, f: Egf, count: int) -> list:
@@ -240,6 +243,7 @@ def sheffer_polys(g: Egf, f: Egf, count: int) -> list:
     The family with generating function e^{x fbar(t)} / g(fbar(t)) has the
     inverse array <g, f>^{-1} as its coefficient matrix.
     """
+    qformat.count(count, "count")  # the parameter shadows the gate's name
     inv = ExpRiordan(g, f).inverse()
     if count > inv.order:
         raise OrderExceeded("pair truncated below the requested count")

@@ -222,7 +222,7 @@ class Egf:
         return len(self._n) - 1
 
     def coeff(self, n: int) -> Fraction:
-        if n > self.order:
+        if count(n, "n") > self.order:
             raise OrderExceeded("coefficient %d beyond order %d" % (n, self.order))
         a = self._a
         return a[n] if a is not None else Fraction(self._n[n], self._d)
@@ -411,12 +411,6 @@ class Egf:
         if len(coeffs) != data["order"] + 1:
             raise ValueError("order field disagrees with coefficient count")
         return cls(coeffs)
-
-
-def _first_kind_base(m, r, order: int) -> Egf:
-    """(1 + mt)^{-r/m}, the column-0 series of the first-kind triangle."""
-    count(m, "m", 1)
-    return Egf.one_plus_ct(m, order).pow(Fraction(-exact(r), m))
 
 
 def expm1_scaled(m, order: int) -> Egf:

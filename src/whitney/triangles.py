@@ -2,12 +2,12 @@
 
 Triangle rows
     whitney2_row    W(n,k):  W(n,k) = W(n-1,k-1) + (km+r) W(n-1,k)
-    whitney1_row    w(n,k):  defined by the column series
-                    (1+mz)^(-r/m) ln^k(1+mz) / (m^k k!); the recurrence
-                    w(n+1,k) = w(n,k-1) - (r+mn) w(n,k) is used as a fast
-                    path and is checked against the series definition.
+    whitney1_row    w(n,k) = w(n-1,k-1) - (r+m(n-1)) w(n-1,k): row n holds the
+                    coefficients of (x-r)(x-r-m)...(x-r-(n-1)m), and column k
+                    has the series (1+mz)^(-r/m) ln^k(1+mz) / (m^k k!), which
+                    whitney1_row_egf reads independently
     m_stirling2_row S(n,k) = S(n-1,k-1) + km S(n-1,k)   (= whitney2 at r=0)
-    m_stirling1_row coefficients of x(x-m)...(x-(n-1)m)
+    m_stirling1_row coefficients of x(x-m)...(x-(n-1)m)   (= whitney1 at r=0)
 
 Polynomial families (by kind string)
     "touchard"          sum_k S(n,k) x^k
@@ -28,9 +28,10 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import WhitneyError
-from .poly import Poly, _stepped_coeffs, stepped_product
+from .poly import Poly
 from .qformat import canonical, count, parse_rat, rat_str
-from .series import Egf, _first_kind_base, expm1_scaled, log1p_scaled
+from .riordan import whitney1_array, whitney2_array
+from .series import Egf
 
 TRIANGLE_KINDS = ("whitney2", "whitney1", "mstirling2", "mstirling1")
 FAMILY_KINDS = (
@@ -91,22 +92,10 @@ def whitney2_row(m: int, r, n: int) -> list:
     return list(_row("whitney2", m, r, n))
 
 
-def _columns(col, step, n):
-    """The series col * step^k / k!, for k = 0..n in turn.
-
-    Column k + 1 is column k times the step series over k + 1.
-    """
-    for k in range(n + 1):
-        yield col
-        if k < n:
-            col = col.mul(step, k + 1)
-
-
 def whitney2_row_egf(m: int, r, n: int) -> list:
     """Row n extracted from the column series e^{rz} ((e^{mz}-1)/m)^k / k!."""
-    count(m, "m", 1)
-    count(n, "n")
-    return [col.coeff(n) for col in _columns(Egf.exp_linear(r, n), expm1_scaled(m, n), n)]
+    arr = whitney2_array(m, r, max(count(n, "n"), 1))  # an array needs order 1
+    return [arr.entry(n, k) for k in range(n + 1)]
 
 
 # -- first kind -------------------------------------------------------
@@ -117,9 +106,9 @@ def whitney1_row(m: int, r, n: int) -> list:
 
 
 def whitney1_row_egf(m: int, r, n: int) -> list:
-    """Row n straight from the defining column series."""
-    count(n, "n")
-    return [col.coeff(n) for col in _columns(_first_kind_base(m, r, n), log1p_scaled(m, n), n)]
+    """Row n straight from the defining column series, as for the second kind."""
+    arr = whitney1_array(m, r, max(count(n, "n"), 1))
+    return [arr.entry(n, k) for k in range(n + 1)]
 
 
 # -- r = 0 specializations ---------------------------------------------
@@ -130,9 +119,7 @@ def m_stirling2_row(m: int, n: int) -> list:
 
 
 def m_stirling1_row(m: int, n: int) -> list:
-    """Power-basis coefficients of x(x-m)...(x-(n-1)m), padded to length n+1."""
-    p = touchard_inverse_poly(m, n)
-    return [p.coeff(i) for i in range(n + 1)]
+    return whitney1_row(m, 0, n)
 
 
 # -- polynomial families ----------------------------------------------
@@ -151,7 +138,7 @@ def dowling_poly(m: int, r, n: int) -> Poly:
 
 
 def dowling_inverse_poly(m: int, r, n: int) -> Poly:
-    return stepped_product(n, count(m, "m", 1), r)
+    return Poly(_row("whitney1", m, r, n))
 
 
 # The longest Bernoulli and Euler tuples computed so far.  Truncation
@@ -213,7 +200,12 @@ def cauchy_numbers(n: int) -> list:
 
 
 def bell_numbers(n: int) -> list:
-    return [touchard_poly(1, j)(1) for j in range(count(n, "n") + 1)]
+    """Row sums of the m = 1 second-kind rows, stepped here and not stored."""
+    row, out = (1,), [1]
+    for j in range(1, count(n, "n") + 1):
+        row = _step_whitney2(1, 0, j, row)
+        out.append(sum(row))
+    return out
 
 
 def family(kind: str, n: int, m: int = None, r=None) -> Poly:
@@ -267,15 +259,11 @@ def build_triangle(kind: str, m: int, r, n: int) -> Triangle:
     """Rows 0..n of a triangle kind, or of a family's coefficient triangle
     (row j: the degree-j member; a family reports r whether it uses r or not)."""
     count(n, "n")
-    if kind in ("whitney2", "whitney1", "dowling"):
-        rows = _rows("whitney1" if kind == "whitney1" else "whitney2", m, r, n)[: n + 1]
-    elif kind in ("mstirling2", "touchard"):
-        rows = _rows("whitney2", m, 0, n)[: n + 1]
-    elif kind in ("mstirling1", "touchard-inverse", "dowling-inverse"):
-        # row j is the product of the first j factors: one list, stepped
-        count(m, "m", 1)
-        shift = r if kind == "dowling-inverse" else 0
-        rows = [tuple(cs) for cs in _stepped_coeffs(n, m, shift)]
+    shift = 0 if kind in ("mstirling2", "touchard", "mstirling1", "touchard-inverse") else r
+    if kind in ("whitney2", "dowling", "mstirling2", "touchard"):
+        rows = _rows("whitney2", m, shift, n)[: n + 1]
+    elif kind in ("whitney1", "dowling-inverse", "mstirling1", "touchard-inverse"):
+        rows = _rows("whitney1", m, shift, n)[: n + 1]
     elif kind in ("bernoulli", "euler"):
         # one read of the numbers serves every row: row j uses a_0..a_j
         nums = bernoulli_numbers(n) if kind == "bernoulli" else euler_zero_values(n)

@@ -1,15 +1,17 @@
 import json
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whitney import cli, identities, triangles
 from whitney.identities import CheckReport
 from whitney.poly import stepped_product
-from whitney.qformat import parse_rat, rat_str
+from whitney.qformat import canonical, parse_rat, rat_str
 from whitney.series import Egf
 from whitney.triangles import rows_from_csv, whitney1_row
 
@@ -24,6 +26,41 @@ def test_rat_round_trip():
     for v in (Fraction(3), Fraction(-8), Fraction(15, 7), Fraction(-1, 2)):
         assert parse_rat(rat_str(v)) == v
     assert rat_str(Fraction(4, 2)) == "2"
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(4000, 20000), st.integers(1, 20000), st.booleans(), st.integers(0, 2 ** 32))
+def test_rat_round_trip_beyond_the_digit_limit(digits, den_digits, negative, seed):
+    # Python's int <-> str conversion refuses more than 4300 digits by default
+    rng = random.Random(seed)
+    p = rng.randrange(10 ** (digits - 1), 10 ** digits)
+    q = rng.randrange(10 ** (den_digits - 1), 10 ** den_digits)
+    v = canonical(Fraction(-p if negative else p, q))
+    assert parse_rat(rat_str(v)) == v
+
+
+def test_decimal_strings_beyond_the_digit_limit():
+    # the split pieces keep their leading zeros
+    assert rat_str(10 ** 9000 + 7) == "1" + "0" * 8998 + "07"
+    assert rat_str(Fraction(-1, 10 ** 5000)) == "-1/1" + "0" * 5000
+    assert parse_rat("1" * 5000) == (10 ** 5000 - 1) // 9
+    assert parse_rat(" -" + "0" * 4400 + "6/4 ") == Fraction(-3, 2)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rat("1" * 5000 + "/0")
+    with pytest.raises(ValueError):
+        parse_rat("1" * 5000 + "x")
+
+
+def test_series_beyond_the_digit_limit_round_trips(capsys):
+    # column 0 of the m = 1, r = 10 array is e^{10t}: coefficient n is 10^n
+    argv = ("series", "whitney2-column", "--m", "1", "--r", "10", "--k", "0", "--order", "4301")
+    want = [10 ** n for n in range(4302)]
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and not err
+    assert rows_from_csv(out) == [want]
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and not err
+    assert list(Egf.from_json(out).a) == want
 
 
 def test_table_csv_worked_example(capsys):
@@ -270,7 +307,8 @@ def test_poly_inverse_rows_are_stepped_products(capsys, kind, r, m):
 
 
 def test_poly_dowling_inverse_steps_one_list(capsys):
-    # one stepped list for all degrees: O(n^2), not a product per degree
+    # every degree read from one pass of the row store: O(n^2), not a
+    # product per degree
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "poly", "dowling-inverse", "--m", "3", "--r", "2", "--n", "210", "--format", "csv")
     elapsed = time.perf_counter() - start

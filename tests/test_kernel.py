@@ -18,7 +18,7 @@ from whitney.grammar import whitney_row_from_grammar
 from whitney.identities import run_check
 from whitney.operators import binomial_power_op, forward_difference_op, scaled_log_op, shift_op
 from whitney.poly import Poly, _convolve, stepped_product
-from whitney.riordan import OrdRiordan, whitney1_array
+from whitney.riordan import OrdRiordan, seq_az, sheffer_polys, whitney1_array, whitney2_array
 from whitney.series import Egf, expm1_scaled, log1p_scaled
 from whitney.triangles import (
     bernoulli_numbers,
@@ -317,6 +317,13 @@ def test_inexact_coefficients_are_refused(build):
         lambda: log1p_scaled(2, -3),
         lambda: forward_difference_op(2, -1),
         lambda: shift_op(1, -1),
+        lambda: expm1_scaled(2, 5).coeff(-1),
+        lambda: expm1_scaled(2, 5).coeff(1.5),
+        lambda: whitney2_array(2, 1, 4).a_sequence(-1),
+        lambda: OrdRiordan([1, 1, 1], [0, 1, 1]).z_sequence(-1),
+        lambda: seq_az(whitney2_array(2, 1, 4), -1),
+        lambda: sheffer_polys(Egf.one(4), Egf.t(4), 1.5),
+        lambda: sheffer_polys(Egf.one(4), Egf.t(4), -1),
     ],
     ids=[
         "forward-difference-m0", "scaled-log-m0", "binomial-power-m0", "scaled-log-negative-m",
@@ -326,6 +333,9 @@ def test_inexact_coefficients_are_refused(build):
         "egf-one-negative-order", "egf-zero-negative-order", "egf-t-bool-order", "egf-t-order0",
         "exp-linear-negative-order", "one-plus-ct-negative-order", "expm1-negative-order",
         "log1p-negative-order", "forward-difference-negative-order", "shift-op-negative-order",
+        "egf-coeff-negative-index", "egf-coeff-float-index", "a-sequence-negative-index",
+        "z-sequence-negative-index", "seq-az-negative-index", "sheffer-polys-float-count",
+        "sheffer-polys-negative-count",
     ],
 )
 def test_bad_parameters_are_refused(build):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle_helpers import (
     bell_recurrence,
@@ -9,7 +11,7 @@ from oracle_helpers import (
     falling_integral,
     stirling2_brute,
 )
-from whitney.poly import Poly
+from whitney.poly import Poly, stepped_product
 from whitney.triangles import (
     Triangle,
     bell_numbers,
@@ -206,6 +208,11 @@ def test_touchard_at_one_is_bell():
     assert bell_numbers(8) == bell_recurrence(8)
 
 
+def test_bell_numbers_are_touchard_values_at_one():
+    # bell_numbers steps its own rows; touchard_poly reads the row store
+    assert bell_numbers(30) == [touchard_poly(1, j)(1) for j in range(31)]
+
+
 def test_bernoulli_polynomials():
     assert bernoulli_poly(2) == Poly([Fraction(1, 6), -1, 1])
     b = bernoulli_numbers(3)
@@ -303,3 +310,38 @@ def test_triangle_kinds_without_r():
     assert tri.rows[3] == (0, 8, -6, 1)
     with pytest.raises(ValueError):
         build_triangle("nope", 1, 0, 2)
+
+
+# -- properties at rational r ----------------------------------------------
+
+SOME = settings(max_examples=25, deadline=None)
+ms = st.integers(1, 4)
+ns = st.integers(0, 10)
+ps = st.integers(-7, 7)
+qs = st.integers(1, 7)
+
+
+@SOME
+@given(ms, ps, qs, ns)
+def test_first_kind_row_is_the_stepped_product(m, p, q, n):
+    # the row store against the product multiplied out independently
+    r = Fraction(p, q)
+    prod = stepped_product(n, m, r)
+    assert whitney1_row(m, r, n) == [prod.coeff(i) for i in range(n + 1)]
+
+
+@SOME
+@given(ms, ps, qs, ns)
+def test_series_rows_are_the_recurrence_rows(m, p, q, n):
+    r = Fraction(p, q)
+    assert whitney2_row_egf(m, r, n) == whitney2_row(m, r, n)
+    assert whitney1_row_egf(m, r, n) == whitney1_row(m, r, n)
+
+
+@SOME
+@given(ms, ps, qs, ns)
+def test_scaling_law_at_rational_r(m, p, q, n):
+    # q^(n-k) W_{m,p/q}(n,k) = W_{qm,p}(n,k), and the same for the first kind
+    for row in (whitney2_row, whitney1_row):
+        scaled = [q ** (n - k) * v for k, v in enumerate(row(m, Fraction(p, q), n))]
+        assert scaled == row(q * m, p, n)
