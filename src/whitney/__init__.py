@@ -86,9 +86,11 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty the process-wide caches: the triangle row store, the longest
-    Bernoulli and Euler prefixes, and the cached enumeration counts."""
+    """Empty the process-wide caches: the triangle row store and its row
+    polynomials, the longest Bernoulli and Euler prefixes and their
+    polynomials, and the cached enumeration counts."""
     triangles._ROWS.clear()
+    triangles._POLYS.clear()
     triangles._PREFIXES.clear()
     enumeration._pair_count.cache_clear()
     enumeration._augmented_count.cache_clear()

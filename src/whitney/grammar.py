@@ -7,8 +7,10 @@ at a time by its image.  Iterating the derivative of the rule set
 triangle row by row, which this module exposes directly.
 """
 
+from fractions import Fraction
+
 from .errors import BadParameter, StrayMonomial
-from .qformat import canonical, count, rat_str
+from .qformat import canonical, count, exact, rat_str
 
 # variable order is (y, x); exponent keys are (a, b) for y^a x^b
 
@@ -17,14 +19,19 @@ class XYPoly:
     """Finite linear combination of monomials y^a x^b with exact coefficients.
 
     ``terms`` maps (a, b) to the coefficient; zero coefficients are never
-    stored, so equality is structural.
+    stored, so equality is structural.  A coefficient or scalar factor
+    must be an int or a Fraction: a float or bool raises ValueError.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
+        terms = terms or {}
+        if not {int, Fraction}.issuperset(map(type, terms.values())):
+            for c in terms.values():
+                exact(c)
         d = {}
-        for (a, b), c in (terms or {}).items():
+        for (a, b), c in terms.items():
             if a < 0 or b < 0:
                 raise ValueError("negative exponent in monomial")
             if c == 0:
@@ -83,6 +90,7 @@ class XYPoly:
                     key = (a1 + a2, b1 + b2)
                     d[key] = d.get(key, 0) + c1 * c2
             return XYPoly._merged(d)
+        other = exact(other)
         return XYPoly._merged({key: c * other for key, c in self.terms.items()})
 
     __rmul__ = __mul__

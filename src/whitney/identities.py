@@ -27,17 +27,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import mul
 
 from .errors import BadGrid, BadParameter, UnknownIdentity
 from .grammar import XYPoly, derive_n, whitney_grammar
 from .operators import forward_difference_op, scaled_log_op, shift_op
-from .poly import Poly, lincomb, stepped_product
+from .poly import Poly, _cleared, lincomb, stepped_product
 from .qformat import count, rat_str
 from .riordan import connection_constants, whitney1_array, whitney2_array
 from .series import Egf, expm1_scaled
 from .triangles import (
+    _polys,
     _rows,
     bernoulli_numbers,
     bernoulli_poly,
@@ -66,12 +67,6 @@ def _touchard_at_one(m, n):
 
 def _mr(grid):
     return product(grid["m"], grid["r"])
-
-
-def _cleared(nums):
-    """Integer numerators of `nums` over their lcm denominator, and that lcm."""
-    d = lcm(*[v.denominator for v in nums])  # a generator here raised peak RSS
-    return [v.numerator * (d // v.denominator) for v in nums], d
 
 
 def exact_det(rows) -> Fraction:
@@ -239,11 +234,13 @@ def _identity(name, summary, mode, axes=None, grid=None, bind=None, variant=None
 _MRN = ("m", "r", "n")
 
 
-def _sides(lhs_row, rhs, entrywise):
-    """Both sides as polynomials, or entrywise: the row against rhs's coefficients."""
+def _sides(m, r, n, rhs, entrywise):
+    """Both sides as polynomials, D_n against rhs, or entrywise: row n of W
+    against rhs's coefficients."""
     if entrywise:
-        return lhs_row, [rhs.coeff(k) for k in range(len(lhs_row))]
-    return Poly(lhs_row), rhs
+        row = whitney2_row(m, r, n)
+        return row, [rhs.coeff(k) for k in range(len(row))]
+    return dowling_poly(m, r, n), rhs
 
 
 def _n_from_one(grid):
@@ -322,15 +319,15 @@ def _spivey(grid, entrywise):
     max_h = grid["max_h"]
     for m, r in _mr(grid):
         d = _rows("whitney2", m, r, max(grid["max_n"], max_h))
+        D = _polys("whitney2", m, r, max(grid["max_n"], max_h))
         for n in range(grid["max_n"] + 1):
             # inner[j] is held times u^j, as the outer sum takes it
-            inner = [(0,) * j + lincomb((comb(n, k) * (j * m) ** (n - k), d[k])
-                                        for k in range(n + 1)).coeffs
+            inner = [lincomb((comb(n, k) * (j * m) ** (n - k), D[k])
+                             for k in range(n + 1)).mul_xpow(j)
                      for j in range(max_h + 1)]
             for h in range(max_h + 1):
                 rhs = lincomb((d[h][j], inner[j]) for j in range(h + 1))
-                yield ({"m": m, "r": r, "n": n, "h": h},
-                       *_sides(whitney2_row(m, r, n + h), rhs, entrywise))
+                yield {"m": m, "r": r, "n": n, "h": h}, *_sides(m, r, n + h, rhs, entrywise)
 
 
 @_identity("dowling-recurrence", "D(n+1,u) = r D(n,u) + u sum_j C(n,j) m^{n-j} D(j,u)",
@@ -339,9 +336,9 @@ def _spivey(grid, entrywise):
            "numeric-at-points", _MRN, bind={"entrywise": True})
 def _dowling_recurrence(m, r, n, entrywise):
     # u times the sum is taken inside it, one x-shifted row a term
-    d = _rows("whitney2", m, r, n + 1)
-    terms = [(comb(n, j) * m ** (n - j), (0,) + d[j]) for j in range(n + 1)]
-    return _sides(whitney2_row(m, r, n + 1), lincomb([(r, d[n])] + terms), entrywise)
+    D = _polys("whitney2", m, r, n)
+    terms = [(comb(n, j) * m ** (n - j), D[j].mul_xpow(1)) for j in range(n + 1)]
+    return _sides(m, r, n + 1, lincomb([(r, D[n])] + terms), entrywise)
 
 
 @_identity("r-shift-s", "D_{m,r}(n,u) = sum_j C(n,j) (r-s)^{n-j} D_{m,s}(j,u)",
@@ -351,9 +348,9 @@ def _dowling_recurrence(m, r, n, entrywise):
            "numeric-at-points", ("m", "r", "s", "n"), grid={"s": (0, 1, 2, 3)},
            bind={"entrywise": True})
 def _r_shift_s(m, r, s, n, entrywise):
-    d = _rows("whitney2", m, s, n)
-    rhs = lincomb((comb(n, j) * (r - s) ** (n - j), d[j]) for j in range(n + 1))
-    return _sides(whitney2_row(m, r, n), rhs, entrywise)
+    D = _polys("whitney2", m, s, n)
+    rhs = lincomb((comb(n, j) * (r - s) ** (n - j), D[j]) for j in range(n + 1))
+    return _sides(m, r, n, rhs, entrywise)
 
 
 @_identity("touchard-binomial", "the generalized Touchard family is of binomial type",
@@ -456,9 +453,9 @@ def _family_to_dowling(numbers, family, m, r, n):
     # the numbers over one denominator d: each constant is one Fraction
     c, d = _cleared(numbers(n))
     cn = [comb(n, l) * c[n - l] for l in range(n + 1)]
-    w, dk = _rows("whitney1", m, r, n), _rows("whitney2", m, r, n)
+    w, D = _rows("whitney1", m, r, n), _polys("whitney2", m, r, n)
     rhs = lincomb(
-        (Fraction(sum(cn[l] * w[l][k] for l in range(k, n + 1)), d), dk[k]) for k in range(n + 1)
+        (Fraction(sum(cn[l] * w[l][k] for l in range(k, n + 1)), d), D[k]) for k in range(n + 1)
     )
     return family(n), rhs
 

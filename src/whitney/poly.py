@@ -1,17 +1,50 @@
 """Dense univariate polynomials over exact rationals; ``_convolve``, the
 ordinary-coefficient product under ``Poly``, ``OrdRiordan`` and one of the
-two forms of the ``Egf`` product; and ``lincomb``, the sum of scaled
+two forms of the ``Egf`` product; ``lincomb``, the sum of scaled
 polynomials that the identity evaluators and the derivative-series
-operators build their sides with.
+operators build their sides with; and ``_reduced``, the one gcd pass that
+puts a ``Poly`` and an ``Egf`` in canonical form.
 
-Coefficients may be ``int`` or ``fractions.Fraction``; arithmetic never
-rounds.  Values are immutable and safe to share.
+A ``Poly`` is stored as an ``Egf`` is, in the layout FLINT uses for
+``fmpq_poly``: a tuple of integer numerators by ascending power of x over
+one positive denominator, with no common factor and no trailing zero, so
+equal polynomials have equal pairs and ``==`` and ``hash`` read the pair.
+Products, derivatives, shifts by x^j and ``lincomb`` compute on the
+integers.  ``coeffs`` is built on first read, each coefficient canonical:
+an ``int`` when integral, else a ``Fraction``; a tuple of ints is its own
+numerators, not a copy.  Arithmetic never rounds.  Values are immutable
+and safe to share.
 """
 
 from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .qformat import canonical, count, exact
+
+
+def _reduced(nums, den):
+    """nums / den with the common gcd divided out; den > 0."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [x // g for x in nums], den // g
+
+
+def _cleared(cs):
+    """Integer numerators of the exact values cs over the lcm of their
+    denominators, and that lcm; a sequence of ints is returned as it is,
+    over 1.  The types are scanned once; a float or bool raises ValueError.
+
+    The lcm of reduced denominators leaves no common factor, so the pair
+    needs no gcd pass.
+    """
+    types = set(map(type, cs))
+    if types <= {int}:
+        return cs, 1
+    if not types <= {int, Fraction}:
+        cs = [exact(c) for c in cs]
+    d = lcm(*[c.denominator for c in cs])
+    return [c.numerator * (d // c.denominator) for c in cs], d
 
 
 def _convolve(a, b, n):
@@ -41,57 +74,56 @@ def _convolve(a, b, n):
 def lincomb(terms) -> "Poly":
     """The polynomial sum of c * p over the (c, p) pairs of `terms`.
 
-    p is a Poly or a sequence of coefficients by ascending power.  The sum
-    is kept as integer numerators over one running lcm of the terms'
-    denominators, rescaled only when a term's denominator does not divide
-    it, and each coefficient is divided once at the end.  Integer terms
-    give integer coefficients; otherwise every coefficient is a Fraction.
-    A float or bool, as c or as a coefficient, raises ValueError.
+    p is a Poly, whose pair is read as it is, or a sequence of coefficients
+    by ascending power, scanned once.  The sum is kept as integer numerators
+    over one running lcm of the terms' denominators, rescaled only when a
+    term's denominator does not divide it, so the inner loop adds plain
+    ints; the result is reduced once at the end.  A float or bool, as c or
+    as a coefficient, raises ValueError.
     """
-    out, den, ints = [], 1, True
+    out, den = [], 1
     for c, p in terms:
         if not c:
             continue
-        cs = p.coeffs if isinstance(p, Poly) else p
-        if len(cs) > len(out):
-            out.extend([0] * (len(cs) - len(out)))
-        if type(c) is int and {int}.issuperset(map(type, cs)):
-            if den != 1:
-                c *= den
-            for i, a in enumerate(cs):
-                out[i] += c * a
-            continue
-        ints, c = False, exact(c)
-        if not {int, Fraction}.issuperset(map(type, cs)):
-            cs = [exact(a) for a in cs]
-        d = lcm(*[a.denominator for a in cs])
-        t = c.denominator * d
-        if den % t:
-            scale = t // gcd(den, t)
+        nums, d = (p._n, p._d) if type(p) is Poly else _cleared(p)
+        if type(c) is not int:
+            c = exact(c)
+            c, d = c.numerator, d * c.denominator
+        if den % d:
+            scale = d // gcd(den, d)
             out = [v * scale for v in out]
             den *= scale
-        c = c.numerator * (den // t)
-        for i, a in enumerate(cs):
-            out[i] += c * a.numerator * (d // a.denominator)
-    return Poly(out if ints else [Fraction(v, den) for v in out])
+        if den != d:
+            c *= den // d
+        if len(nums) > len(out):
+            out.extend([0] * (len(nums) - len(out)))
+        for i, a in enumerate(nums):
+            out[i] += c * a
+    return _make(out, den)
 
 
 class Poly:
-    """Polynomial stored as coefficients by ascending power of x.
+    """Polynomial stored as integer numerators by ascending power of x over
+    one positive denominator, as the module docstring sets out.
 
-    No trailing zero coefficient is stored, so equality is structural and
-    ``degree`` of the zero polynomial is -1.
+    No trailing zero is stored, so ``degree`` of the zero polynomial is -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_n", "_d", "_c")
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        if not {int, Fraction}.issuperset(map(type, cs)):  # fast path for the usual types
-            cs = [exact(c) for c in cs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        nums, d = _cleared(tuple(coeffs))
+        if nums and not nums[-1]:
+            nums = list(nums)
+            while nums and not nums[-1]:
+                nums.pop()
+        self._set(tuple(nums), d)
+
+    def _set(self, nums, den):
+        object.__setattr__(self, "_n", nums)
+        object.__setattr__(self, "_d", den)
+        object.__setattr__(self, "_c", nums if den == 1 else None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -105,40 +137,55 @@ class Poly:
         return cls((c,))
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients by ascending power, each an int when integral,
+        else a Fraction; built on first read."""
+        cs = self._c
+        if cs is None:
+            d = self._d
+            cs = tuple(Fraction(v, d) if v % d else v // d for v in self._n)
+            object.__setattr__(self, "_c", cs)
+        return cs
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._n) - 1
 
     def coeff(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+        return self.coeffs[i] if 0 <= i < len(self._n) else 0
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._n)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return len(self.coeffs) == len(other.coeffs) and all(
-                a == b for a, b in zip(self.coeffs, other.coeffs)
-            )
+            return self._d == other._d and self._n == other._n
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(Fraction(c) for c in self.coeffs))
+        return hash((self._n, self._d))
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.coeff(i) + other.coeff(i) for i in range(n))
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return lincomb(((1, self), (1, other)))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.coeff(i) - other.coeff(i) for i in range(n))
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return lincomb(((1, self), (-1, other)))
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        return _of(tuple(-v for v in self._n), self._d)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            return Poly(_convolve(self.coeffs, other.coeffs, self.degree + other.degree))
-        return Poly(c * other for c in self.coeffs)
+            if not (self._n and other._n):
+                return Poly()
+            return _make(_convolve(self._n, other._n, self.degree + other.degree),
+                         self._d * other._d)
+        c = exact(other)
+        return _make([c.numerator * v for v in self._n], self._d * c.denominator)
 
     __rmul__ = __mul__
 
@@ -155,11 +202,12 @@ class Poly:
         return out
 
     def deriv(self) -> "Poly":
-        return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return _make([i * v for i, v in enumerate(self._n)][1:], self._d)
 
     def shifted(self, a) -> "Poly":
         """p(x + a), expanded binomially."""
-        out = [0] * len(self.coeffs)
+        a = exact(a)
+        out = [0] * len(self._n)
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
@@ -170,9 +218,11 @@ class Poly:
         return Poly(out)
 
     def mul_xpow(self, j: int) -> "Poly":
-        if not self.coeffs:
+        """x^j times the polynomial."""
+        count(j, "j")
+        if not self._n:
             return self
-        return Poly((0,) * j + self.coeffs)
+        return _of((0,) * j + self._n, self._d)
 
     def integral_01(self):
         """Exact integral of the polynomial over [0, 1]."""
@@ -180,6 +230,22 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%r)" % (list(self.coeffs),)
+
+
+def _of(nums, den) -> Poly:
+    """The Poly of a pair already canonical: a tuple of numerators, the
+    last nonzero, over den > 0, with no common factor."""
+    return object.__new__(Poly)._set(nums, den)
+
+
+def _make(nums, den) -> Poly:
+    """The Poly of the numerators over den > 0, trailing zeros stripped and
+    the common factor divided out by one gcd pass."""
+    nums = list(nums)
+    while nums and not nums[-1]:
+        nums.pop()
+    nums, den = _reduced(nums, den)
+    return _of(tuple(nums), den)
 
 
 def stepped_product(n: int, m, shift=0) -> Poly:

@@ -47,16 +47,8 @@ from math import factorial, gcd, lcm, lgamma, log
 from operator import add, mul
 
 from .errors import BadConstantTerm, NotInvertible, OrderExceeded
-from .poly import _convolve
+from .poly import _convolve, _reduced
 from .qformat import count, exact, parse_rat, rat_str
-
-
-def _reduced(nums, den):
-    """nums / den with the common gcd divided out; den > 0."""
-    g = gcd(den, *nums)
-    if g == 1:
-        return nums, den
-    return [x // g for x in nums], den // g
 
 
 def _binomial_sum(A, B, n):

@@ -19,7 +19,9 @@ Polynomial families (by kind string)
 
 The parameter r is accepted as an arbitrary exact rational everywhere the
 algebra allows it; only the enumeration oracles require an integer.
-``build_triangle`` is the one dispatch on triangle and family kind strings.
+``build_triangle`` is the one dispatch on triangle and family kind strings;
+it reads row tuples.  The family polynomials that the identity checks sum
+with are built once each, beside the row store, up to the degree asked for.
 """
 
 import json
@@ -28,7 +30,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import WhitneyError
-from .poly import Poly
+from .poly import Poly, _cleared, _make
 from .qformat import canonical, count, parse_rat, rat_str
 from .riordan import whitney1_array, whitney2_array
 from .series import Egf
@@ -66,6 +68,9 @@ def _step_whitney1(m, r, n, prev):
 
 _STEPS = {"whitney2": _step_whitney2, "whitney1": _step_whitney1}
 _ROWS = {}  # (kind, m, r) -> [row 0, row 1, ...]
+# (kind, m, r) -> [the Poly of row 0, of row 1, ...], grown only as far as
+# a Poly is asked for; "bernoulli" and "euler" -> [P_0, P_1, ...]
+_POLYS = {}
 
 
 def _rows(kind, m, r, n):
@@ -79,6 +84,15 @@ def _rows(kind, m, r, n):
     while len(rows) <= n:
         rows.append(step(m, r, len(rows), rows[-1]))
     return rows
+
+
+def _polys(kind, m, r, n):
+    """The row polynomials of `kind` at (m, r), built once each, until the
+    one of row n is among them; an all-int row is its Poly's numerators."""
+    polys = _POLYS.setdefault((kind, count(m, "m", 1), canonical(r)), [])
+    if len(polys) <= count(n, "n"):
+        polys.extend(Poly(row) for row in _rows(kind, m, r, n)[len(polys): n + 1])
+    return polys
 
 
 def _row(kind, m, r, n) -> tuple:
@@ -134,11 +148,11 @@ def touchard_inverse_poly(m: int, n: int) -> Poly:
 
 
 def dowling_poly(m: int, r, n: int) -> Poly:
-    return Poly(_row("whitney2", m, r, n))
+    return _polys("whitney2", m, r, n)[n]
 
 
 def dowling_inverse_poly(m: int, r, n: int) -> Poly:
-    return Poly(_row("whitney1", m, r, n))
+    return _polys("whitney1", m, r, n)[n]
 
 
 # The longest Bernoulli and Euler tuples computed so far.  Truncation
@@ -171,12 +185,22 @@ def _appell_row(nums, n):
     return tuple(comb(n, k) * nums[n - k] for k in range(n + 1))
 
 
+def _appell_polys(name, numbers, n):
+    """P_0..P_n of an Appell family, each built once from the numbers
+    a_0..a_n cleared to integers over one denominator."""
+    polys = _POLYS.setdefault(name, [])
+    if len(polys) <= count(n, "n"):
+        nums, d = _cleared(numbers(n))
+        polys.extend(_make(_appell_row(nums, j), d) for j in range(len(polys), n + 1))
+    return polys
+
+
 def bernoulli_poly(n: int) -> Poly:
-    return Poly(_appell_row(bernoulli_numbers(n), n))
+    return _appell_polys("bernoulli", bernoulli_numbers, n)[n]
 
 
 def euler_poly(n: int) -> Poly:
-    return Poly(_appell_row(euler_zero_values(n), n))
+    return _appell_polys("euler", euler_zero_values, n)[n]
 
 
 def cauchy_numbers(n: int) -> list:

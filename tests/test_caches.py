@@ -4,12 +4,17 @@ rebuilt from cold with identical values and types."""
 from fractions import Fraction
 
 from whitney import clear_caches, enumeration, identities, triangles
+from whitney.poly import Poly
 from whitney.triangles import (
     FAMILY_KINDS,
     SEQUENCE_KINDS,
     TRIANGLE_KINDS,
+    bernoulli_poly,
     build_triangle,
     classical_seq,
+    dowling_inverse_poly,
+    dowling_poly,
+    euler_poly,
     family,
     whitney2_row,
 )
@@ -25,6 +30,10 @@ def snapshot():
         out.append([family(kind, n, m=2, r=Fraction(-5, 3)).coeffs for n in range(9)])
     for kind in SEQUENCE_KINDS:
         out.extend(classical_seq(kind, n) for n in (14, 3))
+    for r in (3, Fraction(-5, 3)):
+        for poly in (dowling_poly, dowling_inverse_poly):
+            out.append([poly(2, r, n).coeffs for n in (7, 2)])
+    out.append([poly(n).coeffs for poly in (bernoulli_poly, euler_poly) for n in (9, 4)])
     for n, m, r in ((5, 2, 1), (6, 1, 3)):
         out.append(enumeration.whitney_pair_count_row(n, m, r))
         out.append(enumeration.augmented_count_row(n, m, r))
@@ -35,6 +44,7 @@ def test_clear_caches_empties_every_cache():
     snapshot()
     clear_caches()
     assert triangles._ROWS == {}
+    assert triangles._POLYS == {}
     assert triangles._PREFIXES == {}
     assert enumeration._pair_count.cache_info().currsize == 0
     assert enumeration._augmented_count.cache_info().currsize == 0
@@ -47,6 +57,16 @@ def test_every_family_is_identical_after_a_clear():
     clear_caches()
     whitney2_row(2, 1, 40)  # a longer row first, then everything cold
     assert snapshot() == warm
+
+
+def test_row_polynomials_are_built_only_as_far_as_asked():
+    clear_caches()
+    whitney2_row(2, 1, 60)
+    assert dowling_poly(2, 1, 3) == Poly(whitney2_row(2, 1, 3))
+    assert len(triangles._POLYS[("whitney2", 2, 1)]) == 4  # rows 0..3, not 0..60
+    # an all-int row is its polynomial's numerators, not a copy
+    assert dowling_poly(2, 1, 3).coeffs is triangles._ROWS[("whitney2", 2, 1)][3]
+    assert dowling_poly(2, Fraction(1), 3) is dowling_poly(2, 1, 3)
 
 
 def test_evaluators_survive_a_clear_mid_walk():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import random
 import time
@@ -337,3 +339,67 @@ def test_negative_rational_value_spelled_either_way(capsys, argv, option):
             out = [dict(rep, elapsed_ms=0) for rep in json.loads(out)]
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+# -- the CLI contract, over drawn argv ------------------------------------
+
+BAD = ("0", "-1", "1/0", "-5/3", "1/2", "x", "", "2.5")
+
+
+def _values(lo, hi):
+    # about one value in four is out of the ordinary
+    number = st.integers(lo, hi).map(str)
+    return st.one_of(st.sampled_from(BAD), number, number, number)
+
+
+def _argv(verb, first, options):
+    """verb, its positional argument (if any), then each drawn option that is not None."""
+    def build(drawn):
+        head, opts = drawn
+        argv = [verb] + ([head] if head is not None else [])
+        for name, value in zip(options, opts):
+            if value is not None:
+                argv += [name, value]
+        return argv
+
+    opts = st.tuples(*(st.one_of(st.none(), pool, pool) for pool in options.values()))
+    return st.tuples(first, opts).map(build)
+
+
+def _formats(*names):
+    return st.sampled_from(names + ("bogus",))
+
+
+SIZE = _values(-2, 40)
+ARGVS = st.one_of(
+    _argv("table", st.sampled_from(cli.TABLE_KINDS + ("bogus",)),
+          {"--n": SIZE, "--m": _values(-1, 4), "--r": SIZE,
+           "--format": _formats("csv", "json", "pretty")}),
+    _argv("poly", st.sampled_from(cli.POLY_KINDS + ("bogus",)),
+          {"--n": SIZE, "--m": _values(-1, 4), "--r": SIZE,
+           "--format": _formats("csv", "json", "pretty")}),
+    _argv("series", st.sampled_from(cli.SERIES_KINDS + ("bogus",)),
+          {"--order": SIZE, "--k": SIZE, "--u": SIZE, "--m": _values(-1, 4), "--r": SIZE,
+           "--format": _formats("csv", "json", "pretty")}),
+    # verify always gets a small --max-n: the default grid of every check is slow
+    _argv("verify", st.sampled_from(tuple(identities.registry_names()) + ("all", "bogus")),
+          {"--max-n": _values(-1, 3), "--m": _values(-1, 4), "--r": _values(-2, 6),
+           "--format": _formats("json", "pretty")}).filter(lambda a: "--max-n" in a),
+    _argv("oracle-compare", st.none(),
+          {"--n": _values(-1, 8), "--k": _values(-1, 9), "--m": _values(-1, 3),
+           "--r": _values(-1, 4)}),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ARGVS)
+def test_the_cli_contract_holds_for_drawn_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)  # an uncaught exception fails here, with its traceback
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "", argv
+    if code == 1:
+        assert argv[0] in ("verify", "oracle-compare"), argv

@@ -29,6 +29,19 @@ def test_xypoly_normalization():
         XYPoly({(-1, 0): 1})
 
 
+@pytest.mark.parametrize("call", [
+    lambda: XYPoly({(1, 2): 0.5}),
+    lambda: XYPoly({(1, 2): True}),
+    lambda: XYPoly.monomial(1, 2, 0.5),
+    lambda: XYPoly.monomial(1, 2) * 0.5,
+    lambda: 0.5 * XYPoly.monomial(1, 2),
+    lambda: XYPoly.monomial(1, 2) * True,
+])
+def test_xypoly_refuses_inexact_coefficients(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_xypoly_operations_keep_the_normal_form():
     # sums, products and derivatives build their dict already merged; the
     # result must be what the checked public constructor would store

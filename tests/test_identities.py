@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whitney import identities
 from whitney.errors import BadGrid, UnknownIdentity, WhitneyError
@@ -103,6 +105,31 @@ def test_rational_r_through_algebraic_checks():
     for name in ("dowlstir", "r-shift-s", "orthogonality", "whitney-recurrence"):
         rep = run_check(name, {"max_n": 5, "r": half})
         assert rep.status == "pass", name
+
+
+def _report(name, max_n, m, r):
+    """The report of `name` at one grid point's axes, less its timing."""
+    out = run_check(name, {"max_n": max_n, "m": (m,), "r": (r,)}).to_dict()
+    out.pop("elapsed_ms")
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4),  # at max_n = 0 some checks have no point
+       st.builds(Fraction, st.integers(-7, 7), st.integers(1, 7)))
+def test_every_check_passes_at_a_drawn_grid(max_n, m, r):
+    for name in EXPECTED_NAMES:
+        if name == "lemma-grammar-dowling" and r < 0:
+            with pytest.raises(BadGrid):
+                run_check(name, {"max_n": max_n, "m": (m,), "r": (r,)})
+            continue
+        rep = _report(name, max_n, m, r)
+        assert rep["status"] == "pass", rep
+        # an integral r reports the same whichever type it arrives as, and
+        # the grid size depends on the axes, not on the value of r
+        at_two = _report(name, max_n, m, 2)
+        assert _report(name, max_n, m, Fraction(2, 1)) == at_two
+        assert rep["grid_size"] == at_two["grid_size"]
 
 
 def test_run_check_deterministic():

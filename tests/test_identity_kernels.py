@@ -62,11 +62,8 @@ def fraction_sum(terms):
 def test_lincomb_is_the_written_out_sum(terms):
     got = lincomb(iter(terms))
     assert got == fraction_sum(terms)
-    # a nonzero term that is not all int makes every coefficient a Fraction
-    mixed = any(
-        c and not (type(c) is int and all(type(a) is int for a in coeffs_of(p))) for c, p in terms
-    )
-    assert all(type(a) is (Fraction if mixed else int) for a in got.coeffs)
+    # every coefficient is canonical: an int when integral, else a Fraction
+    assert all(type(a) is (int if Fraction(a).denominator == 1 else Fraction) for a in got.coeffs)
 
 
 @FEW

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whitney.poly import (
     Poly,
@@ -87,3 +90,92 @@ def test_stepped_product_shift_matches_taylor_shift():
 def test_stepped_product_rejects_negative():
     with pytest.raises(ValueError):
         stepped_product(-1, 1, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Poly([1, 2]) * True,
+    lambda: True * Poly([1, 2]),
+    lambda: Poly([1, 2]) * 0.5,
+    lambda: 0.5 * Poly([1, 2]),
+    lambda: Poly([1, 1]).shifted(True),
+    lambda: Poly([1, 1]).shifted(0.5),
+    lambda: Poly([1, 2]).mul_xpow(-1),
+    lambda: Poly([1, 2]).mul_xpow(True),
+    lambda: Poly([1, 2]).mul_xpow(1.0),
+    lambda: Poly().mul_xpow(-1),
+])
+def test_inexact_scalars_and_bad_exponents_are_refused(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_exact_scalars_still_scale():
+    assert Poly([1, 2]) * Fraction(1, 2) == Poly([Fraction(1, 2), 1])
+    assert Fraction(2, 1) * Poly([1, 2]) == Poly([2, 4])
+    assert Poly([1, 2]) * 0 == Poly()
+    assert Poly([1, 1]).shifted(Fraction(1, 2)) == Poly([Fraction(3, 2), 1])
+    assert Poly([1, 2]).mul_xpow(0) == Poly([1, 2])
+
+
+# small values, so that two independent draws are often equal
+values = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-3, 3, max_denominator=3),
+    st.integers(-3, 3).map(Fraction),  # an integral Fraction
+)
+coeff_lists = st.lists(values, max_size=4)
+
+
+def retyped(cs):
+    """The same values, each integral one as an int or a Fraction, with trailing zeros."""
+    def one(c):
+        c = Fraction(c)
+        return st.sampled_from((c, c.numerator)) if c.denominator == 1 else st.just(c)
+
+    return st.tuples(*map(one, cs)).flatmap(
+        lambda t: st.lists(st.sampled_from((0, Fraction(0))), max_size=2).map(lambda z: list(t) + z))
+
+
+def stripped(cs):
+    vals = [Fraction(c) for c in cs]
+    while vals and vals[-1] == 0:
+        vals.pop()
+    return vals
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.tuples(coeff_lists, coeff_lists),
+    coeff_lists.flatmap(lambda a: st.tuples(st.just(a), retyped(a))),
+))
+def test_the_pair_form_is_canonical(pair):
+    a, b = pair
+    p, q = Poly(a), Poly(b)
+    assert (p == q) == (stripped(a) == stripped(b))
+    if p == q:
+        assert hash(p) == hash(q)
+    for poly, cs in ((p, a), (q, b)):
+        assert list(poly.coeffs) == stripped(cs)
+        assert all(type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+                   for c in poly.coeffs)
+        # the stored pair: no trailing zero, a positive denominator, no common factor
+        nums, den = poly._n, poly._d
+        assert den > 0 and gcd(den, *nums) == 1 and (not nums or nums[-1] != 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeff_lists, coeff_lists, values, st.integers(0, 3))
+def test_pair_arithmetic_is_the_written_out_arithmetic(a, b, c, j):
+    fa, fb = stripped(a), stripped(b)
+    p, q = Poly(a), Poly(b)
+    prod = [sum((fa[i] * fb[k - i] for i in range(len(fa)) if 0 <= k - i < len(fb)), Fraction(0))
+            for k in range(len(fa) + len(fb) - 1)]
+    assert p * q == Poly(prod)
+    assert c * p == p * c == Poly([c * x for x in fa])
+    assert p.deriv() == Poly([i * x for i, x in enumerate(fa)][1:])
+    assert p.mul_xpow(j) == Poly([0] * j + fa if fa else [])
+    assert -p == Poly([-x for x in fa])
+    width = max(len(fa), len(fb))
+    pad = lambda v: v + [Fraction(0)] * (width - len(v))  # noqa: E731
+    assert p + q == Poly([x + y for x, y in zip(pad(fa), pad(fb))])
+    assert p - q == Poly([x - y for x, y in zip(pad(fa), pad(fb))])
