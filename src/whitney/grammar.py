@@ -30,18 +30,9 @@ class XYPoly:
         if not {int, Fraction}.issuperset(map(type, terms.values())):
             for c in terms.values():
                 exact(c)
-        d = {}
-        for (a, b), c in terms.items():
-            if a < 0 or b < 0:
-                raise ValueError("negative exponent in monomial")
-            if c == 0:
-                continue
-            v = d.get((a, b), 0) + c
-            if v:
-                d[(a, b)] = v
-            else:
-                del d[(a, b)]
-        object.__setattr__(self, "terms", d)
+        if any(a < 0 or b < 0 for a, b in terms):
+            raise ValueError("negative exponent in monomial")
+        object.__setattr__(self, "terms", {key: c for key, c in terms.items() if c})
 
     @classmethod
     def _merged(cls, d) -> "XYPoly":

@@ -1,19 +1,23 @@
-"""Dense univariate polynomials over exact rationals; ``_convolve``, the
-ordinary-coefficient product under ``Poly``, ``OrdRiordan`` and one of the
-two forms of the ``Egf`` product; ``lincomb``, the sum of scaled
-polynomials that the identity evaluators and the derivative-series
-operators build their sides with; and ``_reduced``, the one gcd pass that
-puts a ``Poly`` and an ``Egf`` in canonical form.
+"""Dense univariate polynomials over exact rationals, and the storage
+layout they share with the series of :mod:`whitney.series`.
 
-A ``Poly`` is stored as an ``Egf`` is, in the layout FLINT uses for
-``fmpq_poly``: a tuple of integer numerators by ascending power of x over
-one positive denominator, with no common factor and no trailing zero, so
-equal polynomials have equal pairs and ``==`` and ``hash`` read the pair.
-Products, derivatives, shifts by x^j and ``lincomb`` compute on the
-integers.  ``coeffs`` is built on first read, each coefficient canonical:
-an ``int`` when integral, else a ``Fraction``; a tuple of ints is its own
-numerators, not a copy.  Arithmetic never rounds.  Values are immutable
-and safe to share.
+``_Pair`` is that layout, the one FLINT uses for ``fmpq_poly``: a tuple of
+integer numerators over one positive denominator with no common factor,
+reached by one gcd pass, ``_reduced``, after each operation.  Equal values
+therefore have equal pairs, so ``==`` and ``hash`` read the pair, and
+arithmetic computes on the integers and never rounds.  A view of the values
+is built on first read.  Values are immutable and safe to share.  ``Poly``
+and ``Egf`` are the two pair types; ``_cleared`` puts a sequence of exact
+values in the layout.
+
+A ``Poly`` lists its numerators by ascending power of x, with no trailing
+zero.  ``coeffs`` is its view, each coefficient canonical: an ``int`` when
+integral, else a ``Fraction``; a tuple of ints is its own numerators, not a
+copy.  ``_convolve`` is the integer product of ordinary coefficient
+sequences under ``Poly``, ``OrdRiordan`` and one of the two forms of the
+``Egf`` product; ``lincomb``, the sum of scaled polynomials that the
+identity evaluators and the derivative-series operators build their sides
+with, adds plain ints read off each term's pair.
 """
 
 from fractions import Fraction
@@ -48,27 +52,48 @@ def _cleared(cs):
 
 
 def _convolve(a, b, n):
-    """Coefficients 0..n of the product of two ordinary coefficient sequences.
-
-    Each operand's denominators are cleared by their lcm, the double loop
-    multiplies plain integers, and each coefficient is divided once at the
-    end.  Integer inputs give integer outputs; otherwise every output is a
-    Fraction.
-    """
-    a, b = a[: n + 1], b[: n + 1]
-    da = lcm(*(x.denominator for x in a))
-    db = lcm(*(x.denominator for x in b))
-    ia = [x.numerator * (da // x.denominator) for x in a]
-    ib = [x.numerator * (db // x.denominator) for x in b]
+    """Coefficients 0..n of the product of two integer coefficient
+    sequences; a missing coefficient reads as 0."""
     out = [0] * (n + 1)
-    for i, x in enumerate(ia):
+    for i, x in enumerate(a[: n + 1]):
         if x:
-            for j, y in enumerate(ib[: n + 1 - i], i):
+            for j, y in enumerate(b[: n + 1 - i], i):
                 out[j] += x * y
-    if all(type(x) is int for x in a) and all(type(y) is int for y in b):
-        return out
-    d = da * db
-    return [Fraction(c, d) for c in out]
+    return out
+
+
+class _Pair:
+    """Integer numerators `_n` over the denominator `_d`, in the layout the
+    module docstring sets out, and `_v`, the view of the values, or None
+    until it is built.  Equal only to a value of the same type."""
+
+    __slots__ = ("_n", "_d", "_v")
+
+    def _set(self, nums, den, view=None):
+        object.__setattr__(self, "_n", nums)
+        object.__setattr__(self, "_d", den)
+        object.__setattr__(self, "_v", view)
+        return self
+
+    @classmethod
+    def _of(cls, nums, den, view=None):
+        """The value of a pair already canonical: a tuple of numerators
+        over den > 0 with no common factor."""
+        return object.__new__(cls)._set(nums, den, view)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return self._d == other._d and self._n == other._n
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self._n, self._d))
+
+    def __neg__(self):
+        return self._of(tuple(-v for v in self._n), self._d)
 
 
 def lincomb(terms) -> "Poly":
@@ -102,14 +127,14 @@ def lincomb(terms) -> "Poly":
     return _make(out, den)
 
 
-class Poly:
+class Poly(_Pair):
     """Polynomial stored as integer numerators by ascending power of x over
     one positive denominator, as the module docstring sets out.
 
     No trailing zero is stored, so ``degree`` of the zero polynomial is -1.
     """
 
-    __slots__ = ("_n", "_d", "_c")
+    __slots__ = ()
 
     def __init__(self, coeffs=()):
         nums, d = _cleared(tuple(coeffs))
@@ -118,15 +143,6 @@ class Poly:
             while nums and not nums[-1]:
                 nums.pop()
         self._set(tuple(nums), d)
-
-    def _set(self, nums, den):
-        object.__setattr__(self, "_n", nums)
-        object.__setattr__(self, "_d", den)
-        object.__setattr__(self, "_c", nums if den == 1 else None)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def x(cls) -> "Poly":
@@ -140,11 +156,11 @@ class Poly:
     def coeffs(self) -> tuple:
         """The coefficients by ascending power, each an int when integral,
         else a Fraction; built on first read."""
-        cs = self._c
+        cs = self._v
         if cs is None:
             d = self._d
-            cs = tuple(Fraction(v, d) if v % d else v // d for v in self._n)
-            object.__setattr__(self, "_c", cs)
+            cs = self._n if d == 1 else tuple(Fraction(v, d) if v % d else v // d for v in self._n)
+            object.__setattr__(self, "_v", cs)
         return cs
 
     @property
@@ -157,14 +173,6 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self._n)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self._d == other._d and self._n == other._n
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._n, self._d))
-
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
@@ -174,9 +182,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return lincomb(((1, self), (-1, other)))
-
-    def __neg__(self) -> "Poly":
-        return _of(tuple(-v for v in self._n), self._d)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -196,7 +201,7 @@ class Poly:
         return out
 
     def __call__(self, v):
-        out = 0
+        v, out = exact(v), 0
         for c in reversed(self.coeffs):
             out = out * v + c
         return out
@@ -222,7 +227,7 @@ class Poly:
         count(j, "j")
         if not self._n:
             return self
-        return _of((0,) * j + self._n, self._d)
+        return Poly._of((0,) * j + self._n, self._d)
 
     def integral_01(self):
         """Exact integral of the polynomial over [0, 1]."""
@@ -232,12 +237,6 @@ class Poly:
         return "Poly(%r)" % (list(self.coeffs),)
 
 
-def _of(nums, den) -> Poly:
-    """The Poly of a pair already canonical: a tuple of numerators, the
-    last nonzero, over den > 0, with no common factor."""
-    return object.__new__(Poly)._set(nums, den)
-
-
 def _make(nums, den) -> Poly:
     """The Poly of the numerators over den > 0, trailing zeros stripped and
     the common factor divided out by one gcd pass."""
@@ -245,7 +244,7 @@ def _make(nums, den) -> Poly:
     while nums and not nums[-1]:
         nums.pop()
     nums, den = _reduced(nums, den)
-    return _of(tuple(nums), den)
+    return Poly._of(tuple(nums), den)
 
 
 def stepped_product(n: int, m, shift=0) -> Poly:

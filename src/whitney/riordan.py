@@ -7,7 +7,8 @@ Conventions (kept strictly apart):
   :meth:`ExpRiordan.a_sequence`, consists of the EGF coefficients of
   t / fbar(t), fbar the compositional inverse of f.
 * :class:`OrdRiordan` is the ordinary array (g, f) with entries
-  [z^n] g f^k.  Its Z-sequence, ordinary-normalized, characterizes column
+  [z^n] g f^k, its columns kept as integer numerators over one
+  denominator.  Its Z-sequence, ordinary-normalized, characterizes column
   0 through d(n+1,0) = sum_j z_j d(n,j) and solves
   g = g(0) / (1 - z Z(f)).
 
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from . import qformat
 from .errors import NotInvertible, NotSolvable, OrderExceeded
-from .poly import Poly, _convolve
+from .poly import Poly, _cleared, _convolve
 from .qformat import exact, rat_str
 from .series import Egf, expm1_scaled, log1p_scaled
 
@@ -63,14 +64,14 @@ class ExpRiordan:
 
     def column(self, k: int) -> Egf:
         """Column k as a series: its EGF coefficient n is entry (n, k)."""
-        if not 0 <= k <= self.order:
+        if qformat.count(k, "k") > self.order:
             raise OrderExceeded("column %d beyond order %d" % (k, self.order))
         return self._col(k)
 
     def entry(self, n: int, k: int) -> Fraction:
-        if n > self.order or k > self.order:
+        if qformat.count(k, "k") > self.order or n > self.order:
             raise OrderExceeded("entry (%d,%d) beyond order %d" % (n, k, self.order))
-        if not 0 <= k <= n:
+        if k > n:
             return Fraction(0)
         return self._col(k).coeff(n)
 
@@ -131,7 +132,7 @@ class ExpRiordan:
 class OrdRiordan:
     """Ordinary Riordan array (g, f) with entries [z^n] g f^k."""
 
-    __slots__ = ("g", "f", "_cols")
+    __slots__ = ("g", "f", "_f", "_cols")
 
     def __init__(self, g, f):
         g = tuple(Fraction(exact(c)) for c in g)
@@ -143,7 +144,10 @@ class OrdRiordan:
         n = min(len(g), len(f))
         object.__setattr__(self, "g", g[:n])
         object.__setattr__(self, "f", f[:n])
-        object.__setattr__(self, "_cols", {0: list(g[:n])})
+        # f, and column k = g f^k for each k built so far, as integer
+        # numerators over one denominator
+        object.__setattr__(self, "_f", _cleared(f[:n]))
+        object.__setattr__(self, "_cols", {0: _cleared(g[:n])})
 
     def __setattr__(self, name, value):
         raise AttributeError("OrdRiordan is immutable")
@@ -152,19 +156,21 @@ class OrdRiordan:
     def order(self) -> int:
         return len(self.g) - 1
 
-    def _col(self, k: int) -> list:
-        col = self._cols.get(k)
-        if col is None:
-            col = _convolve(self._col(k - 1), self.f, self.order)
-            self._cols[k] = col
-        return col
+    def _col(self, k: int) -> tuple:
+        # column k is column k - 1 times f, built in turn as in ExpRiordan
+        cols, (fn, fd) = self._cols, self._f
+        for j in range(len(cols), k + 1):
+            nums, d = cols[j - 1]
+            cols[j] = _convolve(nums, fn, self.order), d * fd
+        return cols[k]
 
     def entry(self, n: int, k: int) -> Fraction:
-        if n > self.order or k > self.order:
+        if qformat.count(k, "k") > self.order or n > self.order:
             raise OrderExceeded("entry (%d,%d) beyond order %d" % (n, k, self.order))
-        if not 0 <= k <= n:
+        if k > n:
             return Fraction(0)
-        return self._col(k)[n]
+        nums, d = self._col(k)
+        return Fraction(nums[n], d)
 
     def z_sequence(self, j_max: int = None) -> list:
         """Ordinary coefficients of the Z-sequence solving g = g(0)/(1 - z Z(f)).

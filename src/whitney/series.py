@@ -1,15 +1,11 @@
 """Truncated exponential generating functions over exact rationals.
 
 An :class:`Egf` of order N stands for F(t) = sum_n a_n t^n / n! with exact
-rational a_0..a_N.  It is stored as a canonical pair, the layout FLINT uses
-for ``fmpq_poly``: a tuple of integer EGF numerators A_0..A_N and one
-positive denominator D, with a_n = A_n / D and gcd(D, A_0, ..., A_N) = 1,
-reached by one gcd pass after each operation.  Equal series therefore have
-equal pairs, and ``==`` and ``hash`` read the pair.  Every operation
-computes on the integers.  :attr:`Egf.a`, the coefficients as plain
-Fractions, is built on first read and cached, or handed over ready-made by
-the recurrence that computed them; :meth:`Egf.coeff` builds only the one
-coefficient asked for.  Every operation is exact; an operation on series of
+rational a_0..a_N.  It is a pair of :mod:`whitney.poly`: the EGF numerators
+A_0..A_N over one denominator D, a_n = A_n / D.  :attr:`Egf.a`, its view,
+holds the coefficients as plain Fractions, built on first read or handed
+over ready-made by the recurrence that computed them; :meth:`Egf.coeff`
+builds only the one coefficient asked for.  An operation on series of
 different orders truncates to the smaller order, so precision loss is
 always explicit in the result's ``order``.
 
@@ -47,7 +43,7 @@ from math import factorial, gcd, lcm, lgamma, log
 from operator import add, mul
 
 from .errors import BadConstantTerm, NotInvertible, OrderExceeded
-from .poly import _convolve, _reduced
+from .poly import _Pair, _cleared, _convolve, _reduced
 from .qformat import count, exact, parse_rat, rat_str
 
 
@@ -136,36 +132,24 @@ def _triangular(x, dx, u, du, d):
     return nums, den, tuple(out)
 
 
-class Egf:
+class Egf(_Pair):
     """Exponential generating function truncated at a fixed order."""
 
-    __slots__ = ("_n", "_d", "_a")
+    __slots__ = ()
 
     def __init__(self, coeffs):
         cs = tuple(coeffs)
-        if not {int, Fraction}.issuperset(map(type, cs)):  # fast path for the usual types
-            cs = tuple(exact(c) for c in cs)
         if not cs:
             raise ValueError("an Egf needs at least its constant term")
-        # the lcm of reduced denominators leaves no common factor
-        d = lcm(*(c.denominator for c in cs))
-        object.__setattr__(self, "_n", tuple(c.numerator * (d // c.denominator) for c in cs))
-        object.__setattr__(self, "_d", d)
-        object.__setattr__(self, "_a", cs if {Fraction}.issuperset(map(type, cs)) else None)
+        nums, d = _cleared(cs)
+        self._set(tuple(nums), d, cs if {Fraction}.issuperset(map(type, cs)) else None)
 
     @classmethod
     def _make(cls, nums, den, a=None):
         """The Egf of the numerators over den > 0, reduced by one gcd pass;
         `a`, if given, is its coefficient tuple of plain Fractions."""
         nums, den = _reduced(nums, den)
-        self = object.__new__(cls)
-        object.__setattr__(self, "_n", tuple(nums))
-        object.__setattr__(self, "_d", den)
-        object.__setattr__(self, "_a", a)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Egf is immutable")
+        return cls._of(tuple(nums), den, a)
 
     # -- constructors -------------------------------------------------
 
@@ -202,11 +186,11 @@ class Egf:
     @property
     def a(self) -> tuple:
         """The coefficients a_0..a_N as plain Fractions, built on first read."""
-        a = self._a
+        a = self._v
         if a is None:
             d = self._d
             a = tuple(Fraction(x, d) for x in self._n)
-            object.__setattr__(self, "_a", a)
+            object.__setattr__(self, "_v", a)
         return a
 
     @property
@@ -216,29 +200,19 @@ class Egf:
     def coeff(self, n: int) -> Fraction:
         if count(n, "n") > self.order:
             raise OrderExceeded("coefficient %d beyond order %d" % (n, self.order))
-        a = self._a
+        a = self._v
         return a[n] if a is not None else Fraction(self._n[n], self._d)
 
     def ordinary(self) -> tuple:
         return tuple(Fraction(x, self._d * factorial(i)) for i, x in enumerate(self._n))
 
     def truncate(self, order: int) -> "Egf":
-        if order > self.order:
+        if count(order, "order") > self.order:
             raise OrderExceeded("cannot extend order %d to %d" % (self.order, order))
         if order == self.order:
             return self
-        if order < 0:
-            raise ValueError("an Egf needs at least its constant term")
-        a = self._a
+        a = self._v
         return Egf._make(self._n[: order + 1], self._d, a and a[: order + 1])
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Egf):
-            return self._d == other._d and self._n == other._n
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._n, self._d))
 
     def __repr__(self):
         return "Egf(%s)" % (", ".join(rat_str(c) for c in self.a))
@@ -255,9 +229,6 @@ class Egf:
 
     def __sub__(self, other: "Egf") -> "Egf":
         return self._plus(other, -1)
-
-    def __neg__(self) -> "Egf":
-        return Egf._make([-x for x in self._n], self._d)
 
     def __mul__(self, other):
         if isinstance(other, Egf):

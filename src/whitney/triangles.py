@@ -233,10 +233,15 @@ def bell_numbers(n: int) -> list:
 
 
 def family(kind: str, n: int, m: int = None, r=None) -> Poly:
-    """Degree-n member of the named polynomial family."""
+    """Degree-n member of the named polynomial family, as stored."""
     if kind not in FAMILY_KINDS:
         raise ValueError("unknown family kind %r" % (kind,))
-    return Poly(build_triangle(kind, m, r, n).rows[n])
+    if kind == "bernoulli":
+        return bernoulli_poly(n)
+    if kind == "euler":
+        return euler_poly(n)
+    shift = 0 if kind.startswith("touchard") else r
+    return (dowling_inverse_poly if kind.endswith("inverse") else dowling_poly)(m, shift, n)
 
 
 def classical_seq(kind: str, n: int) -> list:

@@ -3,6 +3,8 @@ rebuilt from cold with identical values and types."""
 
 from fractions import Fraction
 
+import pytest
+
 from whitney import clear_caches, enumeration, identities, triangles
 from whitney.poly import Poly
 from whitney.triangles import (
@@ -82,3 +84,22 @@ def test_evaluators_survive_a_clear_mid_walk():
             points += 1
             assert lhs == rhs, (name, params)
         assert points > 6
+
+
+STORED = {
+    "touchard": lambda r, n: dowling_poly(2, 0, n),
+    "touchard-inverse": lambda r, n: dowling_inverse_poly(2, 0, n),
+    "dowling": lambda r, n: dowling_poly(2, r, n),
+    "dowling-inverse": lambda r, n: dowling_inverse_poly(2, r, n),
+    "bernoulli": lambda r, n: bernoulli_poly(n),
+    "euler": lambda r, n: euler_poly(n),
+}
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("r", [3, Fraction(-5, 3)])
+def test_family_reads_the_stores(kind, r):
+    for n in (6, 0, 3):
+        got = family(kind, n, m=2, r=r)
+        assert got is STORED[kind](r, n)
+        assert got == Poly(build_triangle(kind, 2, r, n).rows[n])

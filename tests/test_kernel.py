@@ -45,12 +45,9 @@ def naive_product(a, b, n):
 
 
 @FEW
-@given(st.lists(rats, max_size=9), st.lists(rats, max_size=9), st.integers(0, 20))
+@given(st.lists(ints, max_size=9), st.lists(ints, max_size=9), st.integers(0, 20))
 def test_convolve_is_the_double_sum(a, b, n):
-    got = _convolve(a, b, n)
-    assert got == naive_product(a, b, n)
-    if any(isinstance(x, Fraction) for x in a[: n + 1] + b[: n + 1]):
-        assert all(type(c) is Fraction for c in got)
+    assert _convolve(a, b, n) == naive_product(a, b, n)
 
 
 @FEW

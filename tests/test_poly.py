@@ -12,7 +12,8 @@ from whitney.poly import (
     from_falling_basis,
     stepped_product,
 )
-from whitney.triangles import whitney2_row
+from whitney.series import Egf
+from whitney.triangles import dowling_poly, whitney2_row
 
 
 def test_constructor_strips_trailing_zeros():
@@ -103,10 +104,25 @@ def test_stepped_product_rejects_negative():
     lambda: Poly([1, 2]).mul_xpow(True),
     lambda: Poly([1, 2]).mul_xpow(1.0),
     lambda: Poly().mul_xpow(-1),
+    lambda: Poly([1, 2])(0.5),
+    lambda: Poly([1, 2])(True),
+    lambda: dowling_poly(2, 1, 3)(0.5),
 ])
 def test_inexact_scalars_and_bad_exponents_are_refused(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_poly_and_egf_share_the_pair_layout_but_not_equality():
+    p, e = Poly([1]), Egf([1])
+    assert (p._n, p._d) == (e._n, e._d)
+    assert p != e and e != p
+    for v in (Poly([1, Fraction(-1, 2)]), Egf([1, Fraction(-1, 2)])):
+        assert -(-v) == v and -v != v
+        assert v != v * 2 and v != Fraction(1, 2) * v
+        assert hash(-(-v)) == hash(v)
+        with pytest.raises(AttributeError, match="^%s is immutable$" % type(v).__name__):
+            v._n = (1,)
 
 
 def test_exact_scalars_still_scale():
@@ -115,6 +131,7 @@ def test_exact_scalars_still_scale():
     assert Poly([1, 2]) * 0 == Poly()
     assert Poly([1, 1]).shifted(Fraction(1, 2)) == Poly([Fraction(3, 2), 1])
     assert Poly([1, 2]).mul_xpow(0) == Poly([1, 2])
+    assert dowling_poly(2, 1, 3)(Fraction(1, 2)) == Fraction(79, 8)
 
 
 # small values, so that two independent draws are often equal

@@ -3,9 +3,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle_helpers import bernoulli_recurrence, falling_integral
-from whitney.errors import NotInvertible, NotSolvable, OrderExceeded
+from whitney.errors import BadParameter, NotInvertible, NotSolvable, OrderExceeded
 from whitney.poly import Poly
 from whitney.riordan import (
     ExpRiordan,
@@ -50,6 +52,20 @@ def test_entry_bounds():
     assert arr.entry(2, 4) == 0
     with pytest.raises(OrderExceeded):
         arr.entry(5, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: whitney2_array(1, 0, 5).column(True),
+    lambda: whitney2_array(1, 0, 5).column(-1),
+    lambda: whitney2_array(1, 0, 5).entry(3, True),
+    lambda: whitney2_array(1, 0, 5).entry(3, 1.0),
+    lambda: OrdRiordan([1, 1, 1], [0, 1, 1]).entry(2, True),
+    lambda: OrdRiordan([1, 1, 1], [0, 1, 1]).entry(2, -1),
+])
+def test_columns_gate_k(call):
+    # column(True) used to return column 1
+    with pytest.raises(BadParameter):
+        call()
 
 
 def test_constructor_validation():
@@ -281,3 +297,32 @@ def test_arrays_gate_m_as_the_row_store_does(build, m):
     # array in whitney2_array
     with pytest.raises(ValueError, match="m must be a positive integer"):
         build(m, 1, 3)
+
+
+def test_ord_columns_are_built_without_recursion():
+    # the columns used to recurse one frame per k, past the recursion limit
+    assert OrdRiordan([1] + [0] * 1500, [0, 1] + [0] * 1499).entry(1500, 1500) == 1
+
+
+def ord_entry(g, f, n, k):
+    """[z^n] g f^k, f^k by k ordinary double sums."""
+    power = [1] + [0] * n
+    for _ in range(k):
+        power = [sum(power[i] * f[j - i] for i in range(j + 1)) for j in range(n + 1)]
+    return sum(g[i] * power[n - i] for i in range(n + 1))
+
+
+fracs = st.fractions(-5, 5, max_denominator=6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda order: st.tuples(
+    st.lists(fracs, min_size=order + 1, max_size=order + 1),
+    st.lists(fracs, min_size=order, max_size=order))))
+def test_ord_entries_are_the_double_sum(gf):
+    g, f = gf[0], [0] + gf[1]
+    arr = OrdRiordan(g, f)
+    for n in range(len(g)):
+        for k in range(n + 1):
+            got = arr.entry(n, k)
+            assert type(got) is Fraction and got == ord_entry(g, f, n, k)

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from oracle_helpers import bell_recurrence
-from whitney.errors import BadConstantTerm, NotInvertible, OrderExceeded
+from whitney.errors import BadConstantTerm, BadParameter, NotInvertible, OrderExceeded
 from whitney.series import Egf, expm1_scaled, log1p_scaled
 from whitney.triangles import dowling_poly
 
@@ -164,6 +164,13 @@ def test_coeff_and_truncate_bounds():
     assert f.truncate(1).a == (1, 2)
     with pytest.raises(OrderExceeded):
         f.truncate(5)
+
+
+@pytest.mark.parametrize("order", [True, 1.5, -1, Fraction(1)])
+def test_truncate_gates_the_order(order):
+    # True used to act as 1, and 1.5 to raise a bare TypeError
+    with pytest.raises(BadParameter):
+        Egf([1, 2, 3]).truncate(order)
 
 
 def test_json_round_trip():
