@@ -10,9 +10,10 @@ Each identity is declared once, at its definition, by the ``_identity``
 decorator, which names its summary, comparison mode, grid and axes.  A
 stateless identity is a function of one grid point returning its two
 sides, and ``_walk`` iterates the product of its axes; an identity that
-carries state from one point to the next is itself a generator over the
-grid.  Either way the registry holds a generator of (params, lhs, rhs),
-and ``run_check`` is the one runner.
+carries state from one point to the next, or builds a term once for every
+point that shares its parameters, is itself a generator over the grid, in
+the order ``_walk`` would take.  Either way the registry holds a generator
+of (params, lhs, rhs), and ``run_check`` is the one runner.
 
 Two entries ("dowling-to-bernoulli", "dowling-to-euler") are flagged: the
 printed derivations they come from contain apparent slips, so their
@@ -33,10 +34,10 @@ from operator import mul
 from .errors import BadGrid, BadParameter, UnknownIdentity
 from .grammar import XYPoly, derive_n, whitney_grammar
 from .operators import forward_difference_op, scaled_log_op, shift_op
-from .poly import Poly, _cleared, lincomb, stepped_product
+from .poly import Poly, _cleared, lincomb
 from .qformat import count, rat_str
-from .riordan import connection_constants, whitney1_array, whitney2_array
-from .series import Egf, expm1_scaled
+from .riordan import _connection_arrays, whitney1_array, whitney2_array
+from .series import Egf, expm1_scaled, log1p_scaled
 from .triangles import (
     _polys,
     _rows,
@@ -62,7 +63,8 @@ def _xpow(n):
 
 
 def _touchard_at_one(m, n):
-    return sum(m_stirling2_row(m, n))
+    """T_0(1)..T_n(1), the sums of the r = 0 second-kind rows."""
+    return [sum(row) for row in _rows("whitney2", m, 0, n)[: n + 1]]
 
 
 def _mr(grid):
@@ -238,8 +240,8 @@ def _sides(m, r, n, rhs, entrywise):
     """Both sides as polynomials, D_n against rhs, or entrywise: row n of W
     against rhs's coefficients."""
     if entrywise:
-        row = whitney2_row(m, r, n)
-        return row, [rhs.coeff(k) for k in range(len(row))]
+        row, cs = whitney2_row(m, r, n), rhs.coeffs
+        return row, list(cs[: len(row)]) + [0] * (len(row) - len(cs))
     return dowling_poly(m, r, n), rhs
 
 
@@ -432,15 +434,23 @@ def _power_in_dowling(m, r, n, part):
 
 
 @_identity("dowlstir", "D_n(x) = sum_k r(r-m)...(r-(k-1)m)/k! times the k-th derivative of T_n",
-           "polynomial-in-u", _MRN)
-def _dowlstir(m, r, n):
-    derivs = [touchard_poly(m, n)]
-    for _ in range(n):
-        derivs.append(derivs[-1].deriv())
-    rhs = lincomb(
-        (Fraction(stepped_product(k, m, 0)(r), factorial(k)), dp) for k, dp in enumerate(derivs)
-    )
-    return dowling_poly(m, r, n), rhs
+           "polynomial-in-u")
+def _dowlstir(grid):
+    # the derivatives of T_n depend on (m, n), the falling values on (m, r)
+    n_max = grid["max_n"]
+    for m in grid["m"]:
+        derivs = [[touchard_poly(m, n)] for n in range(n_max + 1)]
+        for n, ds in enumerate(derivs):
+            for _ in range(n):
+                ds.append(ds[-1].deriv())
+        for r in grid["r"]:
+            D = _polys("whitney2", m, r, n_max)
+            falling, value = [], 1  # r(r-m)...(r-(k-1)m)/k!
+            for k in range(n_max + 1):
+                falling.append(Fraction(value, factorial(k)))
+                value *= r - k * m
+            for n in range(n_max + 1):
+                yield {"m": m, "r": r, "n": n}, D[n], lincomb(zip(falling, derivs[n]))
 
 
 @_identity("bernoulli-to-dowling",
@@ -461,53 +471,64 @@ def _family_to_dowling(numbers, family, m, r, n):
 
 
 def _corrected(grid, source, family):
-    # correction route: take the constants straight off the
-    # connection-constant array between the two Sheffer pairs, built once
-    # per (m, r); order 1 at least, since Egf.t has no order-0 form and
-    # max_n = 0 still has one point
+    # correction route: the constants straight off the connection-constant
+    # array between the two Sheffer pairs.  The source pair is built once per
+    # grid, and the target's delta series ln(1+mt)/m, shared by every r, is
+    # reversed and composed into it once per m.  Order 1 at least: Egf.t has
+    # no order-0 form, and max_n = 0 still has one point
     n_max = grid["max_n"]
     order = max(n_max, 1)
     fam = [family(k) for k in range(n_max + 1)]
-    for m, r in _mr(grid):
-        dowling = whitney1_array(m, r, order)
-        arr = connection_constants(source(order), (dowling.g, dowling.f))
-        for n in range(n_max + 1):
-            rhs = lincomb((arr.entry(n, k), fam[k]) for k in range(n + 1))
-            yield {"m": m, "r": r, "n": n}, dowling_poly(m, r, n), rhs
+    pair = source(order)
+    for m in grid["m"]:
+        hs = (whitney1_array(m, r, order).g for r in grid["r"])
+        for r, arr in zip(grid["r"], _connection_arrays(pair, log1p_scaled(m, order), hs)):
+            D = _polys("whitney2", m, r, n_max)
+            for n in range(n_max + 1):
+                rhs = lincomb((arr.entry(n, k), fam[k]) for k in range(n + 1))
+                yield {"m": m, "r": r, "n": n}, D[n], rhs
 
 
 @_identity("dowling-to-bernoulli",
            "Dowling polynomials expanded in Bernoulli polynomials (literal stated form)",
-           "polynomial-in-u", _MRN, grid={"max_n": 6},
+           "polynomial-in-u", grid={"max_n": 6},
            variant=partial(_corrected, source=_sheffer_pair_bernoulli, family=bernoulli_poly))
-def _dowling_to_bernoulli(m, r, n):
-    bnum = bernoulli_numbers(n + 1)
-    t_one = [_touchard_at_one(m, s) for s in range(n + 2)]
-    W = _rows("whitney2", m, r, n)
-    # the sum over s does not depend on k: one value per l
-    inner = [
-        sum(comb(l + 1, s + 1) * m ** (l - s) * t_one[s + 1] * bnum[l - s] for s in range(l + 1))
-        for l in range(n + 1)
-    ]
-
-    def const(k):
-        terms = (comb(n + 1, l + 1) * W[n - l][k] * inner[l] for l in range(n - k + 1))
-        return Fraction(sum(terms), n + 1)
-
-    return dowling_poly(m, r, n), lincomb((const(k), bernoulli_poly(k)) for k in range(n + 1))
+def _dowling_to_bernoulli(grid):
+    # the sum over s depends on (m, l) alone: one integer per l, on the
+    # Bernoulli numerators over their one denominator d, formed once per m
+    n_max = grid["max_n"]
+    b, d = _cleared(bernoulli_numbers(n_max))
+    fam = [bernoulli_poly(k) for k in range(n_max + 1)]
+    for m in grid["m"]:
+        t_one = _touchard_at_one(m, n_max + 1)
+        inner = [sum(comb(l + 1, s + 1) * m ** (l - s) * t_one[s + 1] * b[l - s]
+                     for s in range(l + 1)) for l in range(n_max + 1)]
+        for r in grid["r"]:
+            W, D = _rows("whitney2", m, r, n_max), _polys("whitney2", m, r, n_max)
+            for n in range(n_max + 1):
+                const = [Fraction(sum(comb(n + 1, l + 1) * W[n - l][k] * inner[l]
+                                      for l in range(n - k + 1)), (n + 1) * d)
+                         for k in range(n + 1)]
+                yield {"m": m, "r": r, "n": n}, D[n], lincomb(zip(const, fam))
 
 
 @_identity("dowling-to-euler",
            "Dowling polynomials expanded in Euler polynomials (literal stated form)",
-           "polynomial-in-u", _MRN,
+           "polynomial-in-u",
            variant=partial(_corrected, source=_sheffer_pair_euler, family=euler_poly))
-def _dowling_to_euler(m, r, n):
-    t_one = [_touchard_at_one(m, s) for s in range(n + 1)]
-    W = _rows("whitney2", m, r, n)
-    # (1/2) sum + (1/2) W(n, k), as one Fraction
-    const = [Fraction(sum(comb(n, l) * W[n - l][k] * t_one[l] for l in range(n - k + 1))
-                      + W[n][k], 2) for k in range(n + 1)]
-    return dowling_poly(m, r, n), lincomb((const[k], euler_poly(k)) for k in range(n + 1))
+def _dowling_to_euler(grid):
+    n_max = grid["max_n"]
+    fam = [euler_poly(k) for k in range(n_max + 1)]
+    for m in grid["m"]:
+        t_one = _touchard_at_one(m, n_max)
+        for r in grid["r"]:
+            W, D = _rows("whitney2", m, r, n_max), _polys("whitney2", m, r, n_max)
+            for n in range(n_max + 1):
+                # (1/2) sum + (1/2) W(n, k), as one Fraction
+                const = [Fraction(sum(comb(n, l) * W[n - l][k] * t_one[l]
+                                      for l in range(n - k + 1)) + W[n][k], 2)
+                         for k in range(n + 1)]
+                yield {"m": m, "r": r, "n": n}, D[n], lincomb(zip(const, fam))
 
 
 def _az_points(grid):

@@ -168,7 +168,7 @@ class Poly(_Pair):
         return len(self._n) - 1
 
     def coeff(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self._n) else 0
+        return self.coeffs[i] if count(i, "i") < len(self._n) else 0
 
     def __bool__(self) -> bool:
         return bool(self._n)

@@ -69,7 +69,7 @@ class ExpRiordan:
         return self._col(k)
 
     def entry(self, n: int, k: int) -> Fraction:
-        if qformat.count(k, "k") > self.order or n > self.order:
+        if qformat.count(n, "n") > self.order or qformat.count(k, "k") > self.order:
             raise OrderExceeded("entry (%d,%d) beyond order %d" % (n, k, self.order))
         if k > n:
             return Fraction(0)
@@ -165,7 +165,7 @@ class OrdRiordan:
         return cols[k]
 
     def entry(self, n: int, k: int) -> Fraction:
-        if qformat.count(k, "k") > self.order or n > self.order:
+        if qformat.count(n, "n") > self.order or qformat.count(k, "k") > self.order:
             raise OrderExceeded("entry (%d,%d) beyond order %d" % (n, k, self.order))
         if k > n:
             return Fraction(0)
@@ -256,6 +256,20 @@ def sheffer_polys(g: Egf, f: Egf, count: int) -> list:
     return [Poly([inv.entry(n, k) for k in range(n + 1)]) for n in range(count + 1)]
 
 
+def _connection_arrays(source, l, hs):
+    """The array of :func:`connection_constants` from ``source`` to the
+    target pair (h, l), for each h of ``hs`` in turn.
+
+    The target delta series l is shared, so lbar = reverse(l) and the
+    source's g(lbar) and f(lbar) are built once for every h.
+    """
+    g, f = source
+    lbar = l.reverse()
+    num, inner = g.compose(lbar), f.compose(lbar)
+    for h in hs:
+        yield ExpRiordan(num.mul(h.compose(lbar).inv()), inner)
+
+
 def connection_constants(source, target) -> ExpRiordan:
     """Array a with target_n(x) = sum_k a(n,k) source_k(x).
 
@@ -263,9 +277,5 @@ def connection_constants(source, target) -> ExpRiordan:
     families as in :func:`sheffer_polys`.  The array is
     <g(lbar)/h(lbar), f(lbar)> for target pair (h, l), lbar = reverse(l).
     """
-    g, f = source
     h, l = target
-    lbar = l.reverse()
-    num = g.compose(lbar)
-    den = h.compose(lbar)
-    return ExpRiordan(num.mul(den.inv()), f.compose(lbar))
+    return next(_connection_arrays(source, l, (h,)))

@@ -1,10 +1,12 @@
+from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitney import identities
+from whitney import identities, triangles
 from whitney.errors import BadGrid, UnknownIdentity, WhitneyError
 from whitney.identities import (
     IdentityCheck,
@@ -14,7 +16,8 @@ from whitney.identities import (
     run_all,
     run_check,
 )
-from whitney.triangles import dowling_poly
+from whitney.poly import Poly
+from whitney.triangles import bernoulli_poly, dowling_poly, euler_poly, touchard_poly
 
 EXPECTED_NAMES = [
     "az-recurrences-W1",
@@ -179,6 +182,52 @@ def test_counterexample_capture_and_reevaluation(monkeypatch):
     again = run_check("always-wrong", {"max_n": ce["params"]["n"]})
     assert again.status == "fail"
     assert again.counterexample["params"]["n"] <= ce["params"]["n"]
+
+
+@pytest.mark.parametrize("name, key, m_hit, grid_size", [
+    ("dowling-to-bernoulli", "bernoulli", 4, 3),
+    ("dowling-to-euler", "euler", 4, 3),
+    ("dowlstir", ("whitney2", 1, 0), 1, 21),  # T_2 at m = 1, reached after (4, 7) and (4, 0)
+])
+def test_a_stored_fault_is_reported_at_the_first_point_it_reaches(
+        monkeypatch, name, key, m_hit, grid_size):
+    # degree 2 of one stored Bernoulli, Euler or Touchard polynomial is made
+    # wrong by 1: every route that reads it must stop at n = 2 of the first
+    # (m, r) that reads it, in grid order, the unsorted m included
+    bernoulli_poly(8), euler_poly(8), touchard_poly(1, 8)
+    faulty = list(triangles._POLYS[key])
+    faulty[2] = faulty[2] + Poly([1])
+    monkeypatch.setitem(triangles._POLYS, key, faulty)
+    rep = run_check(name, {"m": (4, 1), "r": (7, 0)})
+    d = dowling_poly(m_hit, 7, 2)
+    want = {"params": {"m": m_hit, "r": 7, "n": 2},
+            "lhs": identities._render(d), "rhs": identities._render(d + Poly([1]))}
+    ce = rep.counterexample
+    assert rep.status == "fail" and rep.grid_size == grid_size
+    assert {k: v for k, v in ce.items() if k != "correction_counterexample"} == want
+    assert list(ce["params"]) == ["m", "r", "n"]
+    if name != "dowlstir":  # both routes read the family polynomials
+        assert ce["correction_counterexample"] == want
+        assert rep.notes == ("literal statement: FAIL", "connection-constant route: FAIL")
+
+
+def test_the_connection_route_reads_its_source(monkeypatch):
+    # with the Euler pair as source under the Bernoulli family the constants
+    # are wrong, so the route, its pairs built once per grid and per m, fails
+    check = identities.REGISTRY["dowling-to-bernoulli"]
+    wrong = partial(identities._corrected, source=identities._sheffer_pair_euler,
+                    family=bernoulli_poly)
+    monkeypatch.setitem(identities.REGISTRY, check.name, replace(check, variant=wrong))
+    rep = run_check(check.name, {"max_n": 3})
+    assert rep.notes == ("literal statement: pass", "connection-constant route: FAIL")
+    assert rep.status == "fail"
+
+
+def test_the_entrywise_side_reads_missing_coefficients_as_zero():
+    # row n of W has n + 1 entries; a side of another degree is cut or padded to it
+    row = [9, 8, 1]  # W(2, k) at m = 2, r = 3
+    assert identities._sides(2, 3, 2, Poly([1, 2]), True) == (row, [1, 2, 0])
+    assert identities._sides(2, 3, 2, Poly([1, 2, 3, 4]), True) == (row, [1, 2, 3])
 
 
 def test_sheffer_binomial_rendered_sides():

@@ -107,10 +107,21 @@ def test_stepped_product_rejects_negative():
     lambda: Poly([1, 2])(0.5),
     lambda: Poly([1, 2])(True),
     lambda: dowling_poly(2, 1, 3)(0.5),
+    # coeff(True) used to read coefficient 1, coeff(1.5) raised a bare
+    # TypeError and coeff(-1) read 0
+    lambda: Poly([1, 2, 3]).coeff(True),
+    lambda: Poly([1, 2, 3]).coeff(1.5),
+    lambda: Poly([1, 2, 3]).coeff(-1),
 ])
 def test_inexact_scalars_and_bad_exponents_are_refused(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_coeff_past_the_degree_reads_zero():
+    p = Poly([1, Fraction(1, 2), 3])
+    assert [p.coeff(i) for i in range(5)] == [1, Fraction(1, 2), 3, 0, 0]
+    assert Poly().coeff(0) == 0
 
 
 def test_poly_and_egf_share_the_pair_layout_but_not_equality():

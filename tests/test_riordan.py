@@ -13,6 +13,7 @@ from whitney.riordan import (
     ExpRiordan,
     OrdRiordan,
     SeqAZ,
+    _connection_arrays,
     connection_constants,
     identity_array,
     seq_az,
@@ -61,9 +62,16 @@ def test_entry_bounds():
     lambda: whitney2_array(1, 0, 5).entry(3, 1.0),
     lambda: OrdRiordan([1, 1, 1], [0, 1, 1]).entry(2, True),
     lambda: OrdRiordan([1, 1, 1], [0, 1, 1]).entry(2, -1),
+    lambda: OrdRiordan([1, 2, 3], [0, 1, 1]).entry(True, 0),
+    lambda: OrdRiordan([1, 2, 3], [0, 1, 1]).entry(1.5, 1),
+    lambda: OrdRiordan([1, 2, 3], [0, 1, 1]).entry(-1, 0),
+    lambda: whitney2_array(1, 0, 5).entry(True, 0),
+    lambda: whitney2_array(1, 0, 5).entry(1.5, 1),
+    lambda: whitney2_array(1, 0, 5).entry(-1, 0),
 ])
 def test_columns_gate_k(call):
-    # column(True) used to return column 1
+    # column(True) used to return column 1; entry(True, 0) read row 1,
+    # entry(1.5, 1) raised a bare TypeError and entry(-1, 0) returned 0
     with pytest.raises(BadParameter):
         call()
 
@@ -288,6 +296,21 @@ def test_bernoulli_into_dowling_row_one():
     assert bernoulli_poly(1) == (Fraction(-1, 2) - 3) * dowling_poly(2, 3, 0) + dowling_poly(
         2, 3, 1
     )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4),
+       st.lists(st.builds(Fraction, st.integers(-7, 7), st.integers(1, 7)), min_size=1, max_size=4),
+       st.integers(1, 8), st.sampled_from((_bernoulli_pair, _euler_pair)))
+def test_shared_delta_series_gives_each_target_its_own_array(m, rs, order, pair):
+    # the helper reverses l and composes it into the source once for every h
+    source, l = pair(order), log1p_scaled(m, order)
+    hs = [whitney1_array(m, r, order).g for r in rs]
+    got = list(_connection_arrays(source, l, hs))
+    assert len(got) == len(hs)
+    for arr, h in zip(got, hs):
+        want = connection_constants(source, (h, l))
+        assert (arr.g, arr.f) == (want.g, want.f) and arr.rows() == want.rows()
 
 
 @pytest.mark.parametrize("build", [whitney1_array, whitney2_array, whitney1_row, whitney2_row])
