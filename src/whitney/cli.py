@@ -20,7 +20,7 @@ import sys
 from . import enumeration, identities, riordan, triangles
 from .errors import WhitneyError
 from .grammar import whitney_row_from_grammar
-from .qformat import parse_rat, rat_str
+from .qformat import parse_rat, rat_str, write
 from .series import Egf, expm1_scaled
 
 TABLE_KINDS = triangles.TRIANGLE_KINDS
@@ -109,15 +109,8 @@ def _build_parser():
 def _cmd_rows(args, out):
     """table and poly: rows 0..n of a triangle, or of a family's coefficient triangle."""
     tri = triangles.build_triangle(args.kind, args.m, args.r, args.n)
-    if args.format == "csv":
-        out.write(tri.to_csv())
-    elif args.format == "json":
-        out.write(tri.to_json() + "\n")
-    else:
-        cells = [[rat_str(v) for v in row] for row in tri.rows]
-        width = max(len(c) for row in cells for c in row)
-        for row in cells:
-            out.write(" ".join(c.rjust(width) for c in row) + "\n")
+    r = None if tri.r is None else rat_str(tri.r)
+    write(out, args.format, tri.rows, {"kind": tri.kind, "m": tri.m, "r": r})
     return 0
 
 
@@ -140,13 +133,7 @@ def _series_for(args):
 
 def _cmd_series(args, out):
     series = _series_for(args)
-    if args.format == "json":
-        out.write(series.to_json() + "\n")
-    elif args.format == "csv":
-        out.write(series.to_csv())
-    else:
-        for n, c in enumerate(series.a):
-            out.write("%d: %s\n" % (n, rat_str(c)))
+    write(out, args.format, series.a, {"order": series.order}, "egf_coeffs", flat=True)
     return 0
 
 

@@ -1,10 +1,12 @@
 """Exact rationals and counts: the exactness gate, the canonical form (an
 int when the denominator is 1, so integral values compute in ints whatever
 type they arrived as), "p/q" strings (integers as "p") of any length, and
-the parameter gate every entry point applies to m, n and k.  Past Python's
-int/str digit limit (sys.get_int_max_str_digits()), which is never changed,
-the strings are converted in pieces split at a power of ten."""
+the parameter gate every entry point applies to m, n and k, and the one
+writer of rows as CSV, JSON or the pretty layout.  Past Python's int/str
+digit limit (sys.get_int_max_str_digits()), which is never changed, the
+strings are converted in pieces split at a power of ten."""
 
+import json
 import re
 from fractions import Fraction
 
@@ -85,3 +87,34 @@ def parse_rat(s: str):
     if not q:
         raise ValueError("zero denominator in %r" % (s,))
     return canonical(Fraction(-p if sign == "-" else p, q))
+
+
+def _json_list(cells):
+    # a "p/q" string needs no JSON escape (RFC 8259, section 7)
+    return '["%s"]' % '", "'.join(cells) if cells else "[]"
+
+
+def write(out, fmt, rows, header, key="rows", flat=False):
+    """Write exact values to `out` as "csv", "json" or "pretty", one row at a
+    time, each value rendered once by rat_str.  `rows` is a list of rows
+    or, with `flat`, one row (a series).  CSV is one line per row; JSON is
+    the object of the `header` scalars and then `key`, byte for byte what
+    json.dumps writes, plus a newline; pretty right-aligns every cell to
+    the widest, or writes a flat row as "n: value" lines."""
+    cells = [list(map(rat_str, row)) for row in ([rows] if flat else rows)]
+    if fmt == "csv":
+        for row in cells:
+            out.write(",".join(row) + "\n")
+    elif fmt == "json":
+        head = "".join("%s: %s, " % (json.dumps(k), json.dumps(v)) for k, v in header.items())
+        out.write("{%s%s: %s" % (head, json.dumps(key), "" if flat else "["))
+        for i, row in enumerate(cells):
+            out.write(", " * (i > 0) + _json_list(row))
+        out.write("}\n" if flat else "]}\n")
+    elif flat:
+        for item in enumerate(cells[0]):
+            out.write("%d: %s\n" % item)
+    else:
+        width = max(len(c) for row in cells for c in row)
+        for row in cells:
+            out.write(" ".join(c.rjust(width) for c in row) + "\n")

@@ -16,14 +16,13 @@ Mixing the two normalizations is a type error at this API: each sequence
 is only defined on its own array class.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import qformat
 from .errors import NotInvertible, NotSolvable, OrderExceeded
 from .poly import Poly, _cleared, _convolve
-from .qformat import exact, rat_str
+from .qformat import exact
 from .series import Egf, expm1_scaled, log1p_scaled
 
 
@@ -76,8 +75,7 @@ class ExpRiordan:
         return self._col(k).coeff(n)
 
     def rows(self, n: int = None) -> list:
-        if n is None:
-            n = self.order
+        n = self.order if n is None else qformat.count(n, "n")
         return [[self.entry(i, k) for k in range(i + 1)] for i in range(n + 1)]
 
     def mul(self, other: "ExpRiordan") -> "ExpRiordan":
@@ -102,20 +100,6 @@ class ExpRiordan:
     def to_ordinary(self) -> "OrdRiordan":
         """Reinterpret g and f as ordinary generating functions."""
         return OrdRiordan(self.g.ordinary(), self.f.ordinary())
-
-    def to_csv(self, n: int = None) -> str:
-        rows = self.rows(n)
-        return "\n".join(",".join(rat_str(v) for v in row) for row in rows) + "\n"
-
-    def to_json_dict(self, n: int = None) -> dict:
-        rows = self.rows(n)
-        return {
-            "order": len(rows) - 1,
-            "rows": [[rat_str(v) for v in row] for row in rows],
-        }
-
-    def to_json(self, n: int = None) -> str:
-        return json.dumps(self.to_json_dict(n))
 
     def __eq__(self, other):
         if isinstance(other, ExpRiordan):

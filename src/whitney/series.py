@@ -356,16 +356,7 @@ class Egf(_Pair):
             out.append(power.coeff(n - 1))
         return Egf(out)
 
-    # -- serialization ------------------------------------------------
-
-    def to_csv(self) -> str:
-        return ",".join(rat_str(c) for c in self.a) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {"order": self.order, "egf_coeffs": [rat_str(c) for c in self.a]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+    # -- parsing ------------------------------------------------------
 
     @classmethod
     def from_json(cls, text: str) -> "Egf":

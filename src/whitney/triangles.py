@@ -31,7 +31,7 @@ from math import comb, lcm
 
 from .errors import WhitneyError
 from .poly import Poly, _cleared, _make
-from .qformat import canonical, count, parse_rat, rat_str
+from .qformat import canonical, count, parse_rat
 from .riordan import whitney1_array, whitney2_array
 from .series import Egf
 
@@ -257,7 +257,7 @@ def classical_seq(kind: str, n: int) -> list:
     raise ValueError("unknown sequence kind %r" % (kind,))
 
 
-# -- triangle container and export ------------------------------------
+# -- triangle container and its parsers --------------------------------
 
 
 @dataclass(frozen=True)
@@ -269,25 +269,12 @@ class Triangle:
     r: object  # canonical exact rational (an int when integral); None for the r-free triangle kinds
     rows: tuple
 
-    def to_csv(self) -> str:
-        return "\n".join(",".join(rat_str(v) for v in row) for row in self.rows) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "m": self.m,
-            "r": None if self.r is None else rat_str(self.r),
-            "rows": [[rat_str(v) for v in row] for row in self.rows],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def build_triangle(kind: str, m: int, r, n: int) -> Triangle:
     """Rows 0..n of a triangle kind, or of a family's coefficient triangle
     (row j: the degree-j member; a family reports r whether it uses r or not)."""
     count(n, "n")
+    count(m, "m", 1)  # every kind, as m is written to the header
     shift = 0 if kind in ("mstirling2", "touchard", "mstirling1", "touchard-inverse") else r
     if kind in ("whitney2", "dowling", "mstirling2", "touchard"):
         rows = _rows("whitney2", m, shift, n)[: n + 1]

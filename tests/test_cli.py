@@ -7,13 +7,13 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whitney import cli, identities, triangles
 from whitney.identities import CheckReport
 from whitney.poly import stepped_product
-from whitney.qformat import canonical, parse_rat, rat_str
+from whitney.qformat import canonical, parse_rat, rat_str, write
 from whitney.series import Egf
 from whitney.triangles import rows_from_csv, whitney1_row
 
@@ -51,6 +51,34 @@ def test_decimal_strings_beyond_the_digit_limit():
         parse_rat("1" * 5000 + "/0")
     with pytest.raises(ValueError):
         parse_rat("1" * 5000 + "x")
+
+
+EXACTS = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30),
+    st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 6)),
+)
+
+
+def _written(*args, **kwargs):
+    out = io.StringIO()
+    write(out, *args, **kwargs)
+    return out.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(EXACTS, min_size=1, max_size=6), min_size=1, max_size=6), st.integers(0, 99))
+@example([[5]], 0)  # a single row, as at n = 0
+def test_the_writer_matches_json_dumps_and_reads_back(rows, at):
+    # one value past the int/str digit limit, at a drawn place
+    row = rows[at % len(rows)]
+    row[at % len(row)] = -(10 ** 4400) - 7
+    header = {"kind": "whitney1", "m": 2, "r": "-5/3"}
+    want = dict(header, rows=[[rat_str(v) for v in row] for row in rows])
+    assert _written("json", rows, header) == json.dumps(want) + "\n"
+    assert rows_from_csv(_written("csv", rows, header)) == rows
+    flat = {"order": len(rows[0]) - 1, "egf_coeffs": want["rows"][0]}
+    assert _written("json", rows[0], {"order": flat["order"]}, "egf_coeffs", flat=True) == json.dumps(flat) + "\n"
+    assert rows_from_csv(_written("csv", rows[0], {}, flat=True)) == rows[:1]
 
 
 def test_series_beyond_the_digit_limit_round_trips(capsys):

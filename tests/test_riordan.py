@@ -1,3 +1,4 @@
+import io
 import random
 from fractions import Fraction
 from math import comb
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from oracle_helpers import bernoulli_recurrence, falling_integral
 from whitney.errors import BadParameter, NotInvertible, NotSolvable, OrderExceeded
 from whitney.poly import Poly
+from whitney.qformat import write
 from whitney.riordan import (
     ExpRiordan,
     OrdRiordan,
@@ -68,10 +70,14 @@ def test_entry_bounds():
     lambda: whitney2_array(1, 0, 5).entry(True, 0),
     lambda: whitney2_array(1, 0, 5).entry(1.5, 1),
     lambda: whitney2_array(1, 0, 5).entry(-1, 0),
+    lambda: whitney2_array(2, 1, 5).rows(-1),
+    lambda: whitney2_array(2, 1, 5).rows(True),
+    lambda: whitney2_array(2, 1, 5).rows(1.5),
 ])
 def test_columns_gate_k(call):
     # column(True) used to return column 1; entry(True, 0) read row 1,
-    # entry(1.5, 1) raised a bare TypeError and entry(-1, 0) returned 0
+    # entry(1.5, 1) raised a bare TypeError and entry(-1, 0) returned 0;
+    # rows(-1) returned [], rows(True) two rows and rows(1.5) a bare TypeError
     with pytest.raises(BadParameter):
         call()
 
@@ -171,8 +177,11 @@ def test_array_export_round_trip():
     from whitney.triangles import rows_from_csv
 
     w1 = whitney1_array(2, 3, 3)
-    assert rows_from_csv(w1.to_csv())[2] == [15, -8, 1]
-    data = json.loads(w1.to_json())
+    csv, text = io.StringIO(), io.StringIO()
+    write(csv, "csv", w1.rows(), {})
+    write(text, "json", w1.rows(), {"order": w1.order})
+    assert rows_from_csv(csv.getvalue())[2] == [15, -8, 1]
+    data = json.loads(text.getvalue())
     assert data["order"] == 3
     assert data["rows"][3] == ["-105", "71", "-15", "1"]
 

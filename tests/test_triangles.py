@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ from oracle_helpers import (
     falling_integral,
     stirling2_brute,
 )
+from whitney.errors import BadParameter
 from whitney.poly import Poly, stepped_product
+from whitney.qformat import rat_str, write
 from whitney.triangles import (
     Triangle,
     bell_numbers,
@@ -290,16 +293,22 @@ def test_store_rejects_inexact_r(bad_r):
 # -- container and export -------------------------------------------------
 
 
+def _written(tri, fmt):
+    out = io.StringIO()
+    write(out, fmt, tri.rows, {"kind": tri.kind, "m": tri.m, "r": rat_str(tri.r)})
+    return out.getvalue()
+
+
 def test_triangle_csv_round_trip():
     tri = build_triangle("whitney1", 2, 3, 3)
-    text = tri.to_csv()
+    text = _written(tri, "csv")
     assert text.splitlines()[2] == "15,-8,1"
     assert rows_from_csv(text) == [list(row) for row in tri.rows]
 
 
 def test_triangle_json_round_trip():
     tri = build_triangle("whitney2", 2, Fraction(1, 2), 3)
-    back = triangle_from_json(tri.to_json())
+    back = triangle_from_json(_written(tri, "json"))
     assert back == tri
     assert isinstance(back, Triangle)
 
@@ -310,6 +319,13 @@ def test_triangle_kinds_without_r():
     assert tri.rows[3] == (0, 8, -6, 1)
     with pytest.raises(ValueError):
         build_triangle("nope", 1, 0, 2)
+
+
+@pytest.mark.parametrize("kind, m, r", [("bernoulli", 1.5, 1), ("euler", True, None)])
+def test_build_triangle_gates_m_for_every_kind(kind, m, r):
+    # the Appell kinds never read m, and wrote "m": 1.5 and "m": true
+    with pytest.raises(BadParameter):
+        build_triangle(kind, m, r, 2)
 
 
 # -- properties at rational r ----------------------------------------------
