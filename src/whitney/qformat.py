@@ -89,15 +89,11 @@ def parse_rat(s: str):
     return canonical(Fraction(-p if sign == "-" else p, q))
 
 
-def _json_list(cells):
-    # a "p/q" string needs no JSON escape (RFC 8259, section 7)
-    return '["%s"]' % '", "'.join(cells) if cells else "[]"
-
-
 def write(out, fmt, rows, header, key="rows", flat=False):
     """Write exact values to `out` as "csv", "json" or "pretty", one row at a
     time, each value rendered once by rat_str.  `rows` is a list of rows
-    or, with `flat`, one row (a series).  CSV is one line per row; JSON is
+    or, with `flat`, one row (a series); every row holds at least one
+    value, as CSV has no empty row.  CSV is one line per row; JSON is
     the object of the `header` scalars and then `key`, byte for byte what
     json.dumps writes, plus a newline; pretty right-aligns every cell to
     the widest, or writes a flat row as "n: value" lines."""
@@ -109,7 +105,8 @@ def write(out, fmt, rows, header, key="rows", flat=False):
         head = "".join("%s: %s, " % (json.dumps(k), json.dumps(v)) for k, v in header.items())
         out.write("{%s%s: %s" % (head, json.dumps(key), "" if flat else "["))
         for i, row in enumerate(cells):
-            out.write(", " * (i > 0) + _json_list(row))
+            # a "p/q" string needs no JSON escape (RFC 8259, section 7)
+            out.write('%s["%s"]' % (", " * (i > 0), '", "'.join(row)))
         out.write("}\n" if flat else "]}\n")
     elif flat:
         for item in enumerate(cells[0]):
