@@ -90,28 +90,25 @@ def parse_rat(s: str):
 
 
 def write(out, fmt, rows, header, key="rows", flat=False):
-    """Write exact values to `out` as "csv", "json" or "pretty", one row at a
-    time, each value rendered once by rat_str.  `rows` is a list of rows
+    """Write exact values to `out` as "csv", "json" or "pretty" in one
+    piece, each value rendered once by rat_str.  `rows` is a list of rows
     or, with `flat`, one row (a series); every row holds at least one
-    value, as CSV has no empty row.  CSV is one line per row; JSON is
-    the object of the `header` scalars and then `key`, byte for byte what
-    json.dumps writes, plus a newline; pretty right-aligns every cell to
-    the widest, or writes a flat row as "n: value" lines."""
-    cells = [list(map(rat_str, row)) for row in ([rows] if flat else rows)]
+    value, as CSV has no empty row.  CSV is one line per row; JSON is the
+    object of the `header` scalars and then `key`, byte for byte what
+    json.dumps writes; pretty right-aligns every cell to the widest, or
+    writes a flat row as "n: value" lines.  Each ends in a newline."""
+    cells = (map(rat_str, row) for row in ([rows] if flat else rows))
     if fmt == "csv":
-        for row in cells:
-            out.write(",".join(row) + "\n")
+        text = "\n".join(map(",".join, cells))
     elif fmt == "json":
         head = "".join("%s: %s, " % (json.dumps(k), json.dumps(v)) for k, v in header.items())
-        out.write("{%s%s: %s" % (head, json.dumps(key), "" if flat else "["))
-        for i, row in enumerate(cells):
-            # a "p/q" string needs no JSON escape (RFC 8259, section 7)
-            out.write('%s["%s"]' % (", " * (i > 0), '", "'.join(row)))
-        out.write("}\n" if flat else "]}\n")
+        # a "p/q" string needs no JSON escape (RFC 8259, section 7)
+        body = ", ".join('["%s"]' % '", "'.join(row) for row in cells)
+        text = ("{%s%s: %s}" if flat else "{%s%s: [%s]}") % (head, json.dumps(key), body)
     elif flat:
-        for item in enumerate(cells[0]):
-            out.write("%d: %s\n" % item)
+        text = "\n".join("%d: %s" % item for item in enumerate(next(cells)))
     else:
+        cells = [list(row) for row in cells]  # the width needs every cell first
         width = max(len(c) for row in cells for c in row)
-        for row in cells:
-            out.write(" ".join(c.rjust(width) for c in row) + "\n")
+        text = "\n".join(" ".join(c.rjust(width) for c in row) for row in cells)
+    out.write(text + "\n")
