@@ -96,19 +96,21 @@ def write(out, fmt, rows, header, key="rows", flat=False):
     value, as CSV has no empty row.  CSV is one line per row; JSON is the
     object of the `header` scalars and then `key`, byte for byte what
     json.dumps writes; pretty right-aligns every cell to the widest, or
-    writes a flat row as "n: value" lines.  Each ends in a newline."""
+    writes a flat row as "n: value" lines.  Every output ends in a newline."""
     cells = (map(rat_str, row) for row in ([rows] if flat else rows))
     if fmt == "csv":
-        text = "\n".join(map(",".join, cells))
+        text = "\n".join(map(",".join, cells)) + "\n"
     elif fmt == "json":
         head = "".join("%s: %s, " % (json.dumps(k), json.dumps(v)) for k, v in header.items())
-        # a "p/q" string needs no JSON escape (RFC 8259, section 7)
-        body = ", ".join('["%s"]' % '", "'.join(row) for row in cells)
-        text = ("{%s%s: %s}" if flat else "{%s%s: [%s]}") % (head, json.dumps(key), body)
+        opening, closing = ('["', '"]}\n') if flat else ('[["', '"]]}\n')
+        # a "p/q" string needs no JSON escape (RFC 8259, section 7); one
+        # join copies the body once
+        body = '"], ["'.join(map('", "'.join, cells))
+        text = "".join(("{%s%s: %s" % (head, json.dumps(key), opening), body, closing))
     elif flat:
-        text = "\n".join("%d: %s" % item for item in enumerate(next(cells)))
+        text = "".join("%d: %s\n" % item for item in enumerate(next(cells)))
     else:
         cells = [list(row) for row in cells]  # the width needs every cell first
         width = max(len(c) for row in cells for c in row)
-        text = "\n".join(" ".join(c.rjust(width) for c in row) for row in cells)
-    out.write(text + "\n")
+        text = "\n".join(" ".join(c.rjust(width) for c in row) for row in cells) + "\n"
+    out.write(text)
