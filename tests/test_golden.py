@@ -1,4 +1,4 @@
-"""Golden outputs: sha256 digests of high-order series, Riordan and table outputs.
+"""Golden outputs: sha256 digests of high-order series, Riordan, table and verify outputs.
 
 The digests pin the exact bytes, so a change of representation, kernel or
 writer cannot move a single coefficient or its rendering in any of the
@@ -6,6 +6,7 @@ three formats.  Each case runs in a few tens of milliseconds.
 """
 
 import hashlib
+import re
 
 import pytest
 
@@ -87,6 +88,26 @@ FORMAT_CASES = [
 def test_output_formats_are_golden(capsys, argv, fmt, digest):
     assert cli.main([*argv, "--format", fmt]) == 0
     assert _sha(capsys.readouterr().out) == digest
+
+
+VERIFY_GOLDEN = [
+    ((), "82e0740fc30c2723f898cd3b73570454490aaf92738520373a141aade2cab413"),
+    (("--max-n", "4", "--m", "2", "--r", "3"),
+     "5d5ad0c207b1858bab98bc54a464524734929d219362ea992e68715883ef250c"),
+    (("--m", "4", "--m", "1", "--r", "7", "--r", "0"),
+     "8aa01b27dee3a4de750f305b8ceeff2a74679b4559cba01fd00de6e8faaa2a24"),
+    (("--r", "1/2", "--r", "5/3"),
+     "83d791a85b4e340147cfdcb7e5ed9f7feeae6511e0e7835cfea121adc51d7b2c"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", VERIFY_GOLDEN, ids=["default", "small", "unsorted-m", "rational-r"])
+def test_verify_report_is_golden(capsys, argv, digest):
+    # every report's bytes but its timing: grid sizes, point order, notes
+    # and rendered counterexamples
+    assert cli.main(["verify", "all", *argv, "--format", "json"]) == 0
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
+    assert _sha(out) == digest
 
 
 def test_whitney2_array_inverse_and_a_sequence_are_golden():
