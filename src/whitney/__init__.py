@@ -7,7 +7,7 @@ structure enumeration -- and an identity harness checks every stated
 relation between the families in exact rational arithmetic.
 """
 
-from . import enumeration, triangles
+from . import enumeration, identities, triangles  # identities fills the registry
 from .enumeration import (
     count_augmented_partitions,
     count_r_stirling_pairs,
@@ -37,7 +37,6 @@ from .grammar import (
     whitney_grammar,
     whitney_row_from_grammar,
 )
-from .identities import CheckReport, registry_names, run_all, run_check
 from .operators import (
     DiffOpSeries,
     binomial_power_op,
@@ -47,6 +46,7 @@ from .operators import (
     shift_op,
 )
 from .poly import Poly, falling_basis_expand, from_falling_basis, stepped_product
+from .registry import CheckReport, registry_names, run_all, run_check
 from .riordan import (
     ExpRiordan,
     OrdRiordan,

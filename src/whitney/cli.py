@@ -17,7 +17,7 @@ import json
 import re
 import sys
 
-from . import enumeration, identities, riordan, triangles
+from . import enumeration, registry, riordan, triangles
 from .errors import WhitneyError
 from .grammar import whitney_row_from_grammar
 from .qformat import parse_rat, rat_str, write
@@ -146,9 +146,9 @@ def _cmd_verify(args, out):
     if args.r is not None:
         overrides["r"] = tuple(args.r)
     if args.name == "all":
-        reports = identities.run_all(overrides or None)
+        reports = registry.run_all(overrides or None)
     else:
-        reports = identities.run_all(overrides or None, names=[args.name])
+        reports = registry.run_all(overrides or None, names=[args.name])
     if args.format == "json":
         out.write(json.dumps([rep.to_dict() for rep in reports], default=rat_str) + "\n")
     else:

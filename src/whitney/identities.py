@@ -1,19 +1,10 @@
-"""Executable registry of the identities the triangle families satisfy.
+"""The identities the triangle families satisfy, declared for the registry.
 
 Every entry states one identity as a pair of independently computed sides,
-evaluates both exactly over a finite parameter grid, and reports the first
-counterexample if the sides ever differ.  Polynomial statements are
-compared coefficient by coefficient, never by sampling; scalar statements
-are compared at every grid point.
-
-Each identity is declared once, at its definition, by the ``_identity``
-decorator, which names its summary, comparison mode, grid and axes.  A
-stateless identity is a function of one grid point returning its two
-sides, and ``_walk`` iterates the product of its axes; an identity that
-carries state from one point to the next, or builds a term once for every
-point that shares its parameters, is itself a generator over the grid, in
-the order ``_walk`` would take.  Either way the registry holds a generator
-of (params, lhs, rhs), and ``run_check`` is the one runner.
+evaluated exactly over a finite parameter grid by the runner in
+``whitney.registry``.  Polynomial statements are compared coefficient by
+coefficient, never by sampling; scalar statements are compared at every
+grid point.
 
 Two entries ("dowling-to-bernoulli", "dowling-to-euler") are flagged: the
 printed derivations they come from contain apparent slips, so their
@@ -23,19 +14,18 @@ array.  The report passes only when both routes verify.
 """
 
 import random
-import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import comb, factorial
 from operator import mul
 
-from .errors import BadGrid, BadParameter, UnknownIdentity
+from .errors import BadGrid
 from .grammar import XYPoly, derive_n, whitney_grammar
 from .operators import forward_difference_op, scaled_log_op, shift_op
 from .poly import Poly, _cleared, lincomb
-from .qformat import count, rat_str
+from .qformat import rat_str
+from .registry import _identity
 from .riordan import _connection_arrays, whitney1_array, whitney2_array
 from .series import Egf, expm1_scaled, log1p_scaled
 from .triangles import (
@@ -128,111 +118,6 @@ def _sheffer_pair_euler(order):
     return (Fraction(1, 2) * (Egf.exp_linear(1, order) + Egf.one(order)), Egf.t(order))
 
 
-# -- registry ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    summary: str
-    mode: str
-    grid: dict
-    evaluate: object
-    flagged: bool = False
-    variant: object = None
-
-
-@dataclass
-class CheckReport:
-    """Outcome of one identity check.
-
-    ``grid_size`` counts comparisons evaluated; evaluation stops at the
-    first counterexample, so on failure it is the 1-based index of the
-    failing point.  A counterexample records the grid point and both
-    rendered sides, enough to re-evaluate it with matching overrides.
-    """
-
-    name: str
-    grid_size: int
-    status: str
-    counterexample: dict | None
-    elapsed_ms: int
-    notes: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "grid_size": self.grid_size,
-            "status": self.status,
-            "counterexample": self.counterexample,
-            "elapsed_ms": self.elapsed_ms,
-            "notes": list(self.notes),
-        }
-
-
-_BASE = {"max_n": 8, "m": (1, 2, 3), "r": (0, 1, 2, 3)}
-_RANGES = {"n": "max_n", "h": "max_h"}
-
-REGISTRY: dict = {}
-
-
-def _axis(axis, grid):
-    """The names of one axis and its values at `grid`, one tuple per step.
-
-    An axis is a grid key ("n" runs over 0..max_n, "h" over 0..max_h, any
-    other key over its tuple of values) or a pair (name, values) whose
-    values are a fixed tuple or a function of the grid.  A tuple of names
-    takes a tuple of values at each step.
-    """
-    if isinstance(axis, str):
-        key = _RANGES.get(axis)
-        axis = (axis, grid[axis] if key is None else range(grid[key] + 1))
-    names, values = axis
-    if callable(values):
-        values = values(grid)
-    if isinstance(names, str):
-        return (names,), [(v,) for v in values]
-    return names, values
-
-
-def _walk(sides, axes):
-    """Evaluator of a stateless identity: sides(**point) at each point of
-    the product of `axes`, the last axis varying fastest."""
-
-    def evaluate(grid):
-        names, values = zip(*(_axis(axis, grid) for axis in axes))
-        for step in product(*values):
-            params = {}
-            for axis_names, axis_values in zip(names, step):
-                params.update(zip(axis_names, axis_values))
-            lhs, rhs = sides(**params)
-            yield params, lhs, rhs
-
-    return evaluate
-
-
-def _identity(name, summary, mode, axes=None, grid=None, bind=None, variant=None):
-    """Declare the decorated function as the identity check `name`.
-
-    With `axes` the function gives both sides at one grid point and
-    `_walk` iterates the axes; without, it is the evaluator itself, a
-    generator of (params, lhs, rhs) taking the grid first.  `bind` fixes
-    keyword arguments, so that one function serves twin identities;
-    `grid` extends the base grid; a `variant` evaluator flags the check.
-    """
-
-    def declare(fn):
-        bound = partial(fn, **bind) if bind else fn
-        g = dict(_BASE)
-        g.update(grid or {})
-        evaluate = bound if axes is None else _walk(bound, axes)
-        flagged = variant is not None
-        REGISTRY[name] = IdentityCheck(name, summary, mode, g, evaluate, flagged, variant)
-        return fn
-
-    return declare
-
-
 _MRN = ("m", "r", "n")
 
 
@@ -254,8 +139,7 @@ def _n_from_one(grid):
 
 
 @_identity("egf-whitney2",
-           "column k series of the second-kind triangle is e^{rz}((e^{mz}-1)/m)^k/k!",
-           "numeric-at-points")
+           "column k series of the second-kind triangle is e^{rz}((e^{mz}-1)/m)^k/k!")
 def _egf_whitney2(grid):
     # an array needs order 1 at least; each column is cut back to order max_n
     n_max = grid["max_n"]
@@ -268,7 +152,7 @@ def _egf_whitney2(grid):
 
 
 @_identity("egf-dowling", "exp(rt + u(e^{mt}-1)/m) generates the Dowling row polynomials",
-           "numeric-at-points", grid={"u": (0, 1, 2, 3)})
+           grid={"u": (0, 1, 2, 3)})
 def _egf_dowling(grid):
     # the growth series is built once per (m, r) and shared by every u
     n_max = grid["max_n"]
@@ -282,8 +166,7 @@ def _egf_dowling(grid):
 
 
 @_identity("lemma-grammar-dowling",
-           "n-th grammar derivative of y x^r equals y x^r times the Dowling polynomial at x^m",
-           "bivariate-polynomial")
+           "n-th grammar derivative of y x^r equals y x^r times the Dowling polynomial at x^m")
 def _lemma_grammar_dowling(grid):
     # the derivative is carried along n, one grammar step per point
     negative = [r for r in grid["r"] if r < 0]  # y x^r is a monomial only for r >= 0
@@ -302,18 +185,18 @@ def _lemma_grammar_dowling(grid):
 
 
 @_identity("dowling-shift-l1", "D_{m,r+1}(n,u) = sum_k C(n,k) D_{m,r}(k,u)",
-           "polynomial-in-u", _MRN, bind={"l": 1})
+           _MRN, bind={"l": 1})
 @_identity("dowling-shift", "D_{m,r+l}(n,u) = sum_k C(n,k) l^{n-k} D_{m,r}(k,u)",
-           "polynomial-in-u", ("m", "r", "l", "n"), grid={"l": (0, 1, 2, 3)})
+           ("m", "r", "l", "n"), grid={"l": (0, 1, 2, 3)})
 def _dowling_shift(m, r, l, n):
     # r-shift-s read at (r + l, r)
     return _r_shift_s(m, r + l, r, n, entrywise=False)
 
 
 @_identity("spivey", "D(n+h,u) = sum_{k,j} C(n,k) D(k,u) W(h,j) u^j (jm)^{n-k}",
-           "polynomial-in-u", grid={"max_h": 8}, bind={"entrywise": False})
+           grid={"max_h": 8}, bind={"entrywise": False})
 @_identity("whitney-convolution", "W(n+h,s) = sum_{k,j} C(n,k) W(h,j) W(k,s-j) (jm)^{n-k}",
-           "numeric-at-points", grid={"max_h": 8}, bind={"entrywise": True})
+           grid={"max_h": 8}, bind={"entrywise": True})
 def _spivey(grid, entrywise):
     # the printed double sum, summed over k first: inner[j] = sum_k C(n,k)
     # (jm)^{n-k} D_k, whose u^t coefficient is sum_k C(n,k) (jm)^{n-k} W(k,t),
@@ -333,9 +216,9 @@ def _spivey(grid, entrywise):
 
 
 @_identity("dowling-recurrence", "D(n+1,u) = r D(n,u) + u sum_j C(n,j) m^{n-j} D(j,u)",
-           "polynomial-in-u", _MRN, bind={"entrywise": False})
+           _MRN, bind={"entrywise": False})
 @_identity("whitney-recurrence", "W(n+1,k) = r W(n,k) + sum_j C(n,j) m^{n-j} W(j,k-1)",
-           "numeric-at-points", _MRN, bind={"entrywise": True})
+           _MRN, bind={"entrywise": True})
 def _dowling_recurrence(m, r, n, entrywise):
     # u times the sum is taken inside it, one x-shifted row a term
     D = _polys("whitney2", m, r, n)
@@ -344,10 +227,10 @@ def _dowling_recurrence(m, r, n, entrywise):
 
 
 @_identity("r-shift-s", "D_{m,r}(n,u) = sum_j C(n,j) (r-s)^{n-j} D_{m,s}(j,u)",
-           "polynomial-in-u", ("m", "r", "s", "n"), grid={"s": (0, 1, 2, 3)},
+           ("m", "r", "s", "n"), grid={"s": (0, 1, 2, 3)},
            bind={"entrywise": False})
 @_identity("whitney-r-shift", "W_{m,r}(n,k) = sum_j C(n,j) (r-s)^{n-j} W_{m,s}(j,k)",
-           "numeric-at-points", ("m", "r", "s", "n"), grid={"s": (0, 1, 2, 3)},
+           ("m", "r", "s", "n"), grid={"s": (0, 1, 2, 3)},
            bind={"entrywise": True})
 def _r_shift_s(m, r, s, n, entrywise):
     D = _polys("whitney2", m, s, n)
@@ -356,9 +239,9 @@ def _r_shift_s(m, r, s, n, entrywise):
 
 
 @_identity("touchard-binomial", "the generalized Touchard family is of binomial type",
-           "bivariate-polynomial", ("m", "n"), bind={"r": 0})
+           ("m", "n"), bind={"r": 0})
 @_identity("sheffer-binomial-D", "D_n(x+y) = sum_k C(n,k) D_k(x) T_{n-k}(y)",
-           "bivariate-polynomial", _MRN)
+           _MRN)
 def _sheffer_binomial(m, r, n):
     # at r = 0 the Dowling family is the Touchard family itself; a key
     # (i, j) is x^i y^j, x the Dowling and y the Touchard variable
@@ -374,7 +257,6 @@ def _sheffer_binomial(m, r, n):
 
 @_identity("umbral-inverse-T",
            "umbral composition of the Touchard family with its inverse gives x^n",
-           "polynomial-in-u",
            ("m", "n", ("direction", ("inverse-into-touchard", "touchard-into-inverse"))))
 def _umbral_inverse_touchard(m, n, direction):
     if direction == "inverse-into-touchard":
@@ -386,7 +268,6 @@ def _umbral_inverse_touchard(m, n, direction):
 
 @_identity("delta-ops",
            "(E^m-I)/m lowers the inverse family; ln(1+mD)/m lowers the Touchard family",
-           "polynomial-in-u",
            ("m", ("n", _n_from_one), ("operator", ("forward-difference", "scaled-log"))))
 def _delta_ops(m, n, operator):
     if operator == "forward-difference":
@@ -397,7 +278,6 @@ def _delta_ops(m, n, operator):
 
 
 @_identity("binomial-recurrences", "That_n(x) = x That_{n-1}(x-m) and T_n(x) = x(1+mD) T_{n-1}(x)",
-           "polynomial-in-u",
            ("m", ("n", _n_from_one), ("family", ("touchard-inverse", "touchard"))))
 def _binomial_recurrences(m, n, family):
     x = Poly.x()
@@ -415,7 +295,6 @@ def _umbral(kind, family, m, r, n, upto):
 
 @_identity("dowling-umbral-inverse",
            "the inverse Dowling family is the r-shifted stepped product; compositions give x^n",
-           "polynomial-in-u",
            _MRN + (("part", ("shifted-product", "second-into-inverse", "first-into-dowling")),))
 def _dowling_umbral_inverse(m, r, n, part):
     if part == "shifted-product":
@@ -426,15 +305,14 @@ def _dowling_umbral_inverse(m, r, n, part):
 
 
 @_identity("power-in-dowling", "x^n = sum_k w(n,k) D_k(x) and its rearrangement",
-           "polynomial-in-u", _MRN + (("part", ("power-expansion", "rearranged")),))
+           _MRN + (("part", ("power-expansion", "rearranged")),))
 def _power_in_dowling(m, r, n, part):
     if part == "power-expansion":
         return _umbral("whitney1", dowling_poly, m, r, n, n + 1), _xpow(n)
     return dowling_poly(m, r, n), _xpow(n) - _umbral("whitney1", dowling_poly, m, r, n, n)
 
 
-@_identity("dowlstir", "D_n(x) = sum_k r(r-m)...(r-(k-1)m)/k! times the k-th derivative of T_n",
-           "polynomial-in-u")
+@_identity("dowlstir", "D_n(x) = sum_k r(r-m)...(r-(k-1)m)/k! times the k-th derivative of T_n")
 def _dowlstir(grid):
     # the derivatives of T_n depend on (m, n), the falling values on (m, r)
     n_max = grid["max_n"]
@@ -455,10 +333,10 @@ def _dowlstir(grid):
 
 @_identity("bernoulli-to-dowling",
            "Bernoulli polynomials expanded in the Dowling family through first-kind entries",
-           "polynomial-in-u", _MRN, bind={"numbers": bernoulli_numbers, "family": bernoulli_poly})
+           _MRN, bind={"numbers": bernoulli_numbers, "family": bernoulli_poly})
 @_identity("euler-to-dowling",
            "Euler polynomials expanded in the Dowling family through first-kind entries",
-           "polynomial-in-u", _MRN, bind={"numbers": euler_zero_values, "family": euler_poly})
+           _MRN, bind={"numbers": euler_zero_values, "family": euler_poly})
 def _family_to_dowling(numbers, family, m, r, n):
     # the numbers over one denominator d: each constant is one Fraction
     c, d = _cleared(numbers(n))
@@ -491,7 +369,7 @@ def _corrected(grid, source, family):
 
 @_identity("dowling-to-bernoulli",
            "Dowling polynomials expanded in Bernoulli polynomials (literal stated form)",
-           "polynomial-in-u", grid={"max_n": 6},
+           grid={"max_n": 6},
            variant=partial(_corrected, source=_sheffer_pair_bernoulli, family=bernoulli_poly))
 def _dowling_to_bernoulli(grid):
     # the sum over s depends on (m, l) alone: one integer per l, on the
@@ -514,7 +392,6 @@ def _dowling_to_bernoulli(grid):
 
 @_identity("dowling-to-euler",
            "Dowling polynomials expanded in Euler polynomials (literal stated form)",
-           "polynomial-in-u",
            variant=partial(_corrected, source=_sheffer_pair_euler, family=euler_poly))
 def _dowling_to_euler(grid):
     n_max = grid["max_n"]
@@ -529,13 +406,6 @@ def _dowling_to_euler(grid):
                                       for l in range(n - k + 1)) + W[n][k], 2)
                          for k in range(n + 1)]
                 yield {"m": m, "r": r, "n": n}, D[n], lincomb(zip(const, fam))
-
-
-def _az_points(grid):
-    """(n, identity) in the order the row recurrences are visited."""
-    n_max = grid["max_n"]
-    firsts = [(n, "a-sequence-row") for n in range(n_max)]
-    return firsts + [(n, i) for n in range(1, n_max + 1) for i in ("g-shift", "column-scale")]
 
 
 def _az_sides(kind, cleared, m, r, n, identity):
@@ -580,19 +450,26 @@ def _az_sides(kind, cleared, m, r, n, identity):
 
 @_identity("az-recurrences-W2",
            "three row recurrences of the second-kind array (Cauchy-number A-sequence)",
-           "numeric-at-points", bind={"kind": "whitney2", "numbers": cauchy_numbers})
+           bind={"kind": "whitney2", "numbers": cauchy_numbers})
 @_identity("az-recurrences-W1",
            "three row recurrences of the first-kind array (Bernoulli-number A-sequence)",
-           "numeric-at-points", bind={"kind": "whitney1", "numbers": bernoulli_numbers})
+           bind={"kind": "whitney1", "numbers": bernoulli_numbers})
 def _az_recurrences(grid, kind, numbers):
     # stateless per point, but the A-sequence numbers are computed once
-    # per grid: the Cauchy numbers are not cached
-    sides = partial(_az_sides, kind, _cleared(numbers(grid["max_n"])))
-    yield from _walk(sides, ("m", "r", (("n", "identity"), _az_points)))(grid)
+    # per grid: the Cauchy numbers are not cached.  (n, identity) runs in
+    # the order the row recurrences are visited
+    n_max = grid["max_n"]
+    cleared = _cleared(numbers(n_max))
+    points = [(n, "a-sequence-row") for n in range(n_max)]
+    points += [(n, i) for n in range(1, n_max + 1) for i in ("g-shift", "column-scale")]
+    for m, r in _mr(grid):
+        for n, identity in points:
+            params = {"m": m, "r": r, "n": n, "identity": identity}
+            yield params, *_az_sides(kind, cleared, m, r, n, identity)
 
 
 @_identity("orthogonality", "the two triangles are mutually inverse, entrywise",
-           "numeric-at-points", _MRN + (("direction", ("second-first", "first-second")),),
+           _MRN + (("direction", ("second-first", "first-second")),),
            grid={"max_n": 12})
 def _orthogonality(m, r, n, direction):
     W, w = _rows("whitney2", m, r, n), _rows("whitney1", m, r, n)
@@ -608,7 +485,7 @@ def _apply(e, f):
 
 @_identity("inverse-relation",
            "f = w * g holds exactly when g = W * f, on random integer sequences",
-           "numeric-at-points", grid={"max_n": 10, "seeds": (0, 1, 2)})
+           grid={"max_n": 10, "seeds": (0, 1, 2)})
 def _inverse_relation(grid):
     # both directions draw, in turn, from one generator per (m, r, seed)
     n_max = grid["max_n"]
@@ -626,117 +503,6 @@ def _inverse_relation(grid):
 
 
 @_identity("determinantal", "(-1)^n times the bordered first-kind determinant equals D_n(x)",
-           "polynomial-in-u", _MRN, grid={"m": (1, 2), "r": (0, 1, 2)})
+           _MRN, grid={"m": (1, 2), "r": (0, 1, 2)})
 def _determinantal(m, r, n):
     return dowling_poly(m, r, n), dowling_from_determinant(m, r, n)
-
-
-# -- runner --------------------------------------------------------------
-
-
-def registry_names() -> list:
-    return sorted(REGISTRY)
-
-
-def _lookup(name) -> IdentityCheck:
-    check = REGISTRY.get(name)
-    if check is None:
-        raise UnknownIdentity(
-            "unknown identity %r; known: %s" % (name, ", ".join(registry_names()))
-        )
-    return check
-
-
-def _gate(name, grid):
-    """Reject bounds no walk can take: a max_n or max_h that is not a
-    nonnegative int, or an m that is not a positive int."""
-    try:
-        for key in ("max_n", "max_h"):
-            if key in grid:
-                count(grid[key], key)
-        for m in grid.get("m", ()):
-            count(m, "m", 1)
-    except BadParameter as exc:
-        raise BadGrid("identity %r: %s" % (name, exc)) from None
-
-
-def _render(v):
-    if isinstance(v, Poly):
-        return [rat_str(c) for c in v.coeffs]
-    if isinstance(v, XYPoly):
-        return [[a, b, rat_str(c)] for (a, b), c in sorted(v.terms.items())]
-    if isinstance(v, (list, tuple)):
-        return [_render(x) for x in v]
-    return rat_str(v)
-
-
-def _scan(evaluate, grid):
-    points = 0
-    for params, lhs, rhs in evaluate(grid):
-        points += 1
-        if lhs != rhs:
-            return points, {
-                "params": dict(params),
-                "lhs": _render(lhs),
-                "rhs": _render(rhs),
-            }
-    return points, None
-
-
-def run_check(name: str, overrides: dict = None) -> CheckReport:
-    """Evaluate one registered identity over its grid (or an override).
-
-    Overrides may replace any default grid key, e.g. {"max_n": 4,
-    "m": (2,), "r": (3,)}.  Passing the parameters of a reported
-    counterexample as singleton overrides re-evaluates that point.  An
-    unknown grid key, a negative max_n or max_h, an m that is not a
-    positive int, or a grid with no points raises BadGrid, which is a
-    ValueError; a check that compared nothing never passes.
-    """
-    check = _lookup(name)
-    grid = dict(check.grid)
-    for key, value in (overrides or {}).items():
-        if key not in grid:
-            raise BadGrid("identity %r has no grid key %r" % (name, key))
-        grid[key] = value
-    _gate(name, grid)
-    start = time.perf_counter()
-    points, fail = _scan(check.evaluate, grid)
-    if points == 0:
-        raise BadGrid("identity %r evaluated no grid points" % (name,))
-    notes = []
-    if check.flagged:
-        # flagged entries always report both outcomes: the statement as
-        # printed, and the form recomputed from the connection constants
-        notes.append(
-            "literal statement: %s" % ("pass" if fail is None else "FAIL")
-        )
-        _, v_fail = _scan(check.variant, grid)
-        notes.append(
-            "connection-constant route: %s" % ("pass" if v_fail is None else "FAIL")
-        )
-        if v_fail is not None:
-            fail = dict(fail) if fail is not None else {}
-            fail["correction_counterexample"] = v_fail
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return CheckReport(
-        name=name,
-        grid_size=points,
-        status="pass" if fail is None else "fail",
-        counterexample=fail,
-        elapsed_ms=elapsed_ms,
-        notes=tuple(notes),
-    )
-
-
-def run_all(overrides: dict = None, names=None) -> list:
-    """Run every registered check, or those named, sorted by name.
-
-    Each check takes only the overrides that name keys of its own grid.
-    """
-    out = []
-    for name in registry_names() if names is None else sorted(names):
-        grid = _lookup(name).grid
-        applicable = {k: v for k, v in (overrides or {}).items() if k in grid}
-        out.append(run_check(name, applicable))
-    return out

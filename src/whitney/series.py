@@ -360,9 +360,14 @@ class Egf(_Pair):
 
     @classmethod
     def from_json(cls, text: str) -> "Egf":
+        """The series of a JSON series output; a document of another shape,
+        or an order that is not a count of its coefficients, raises ValueError."""
         data = json.loads(text)
-        coeffs = [parse_rat(s) for s in data["egf_coeffs"]]
-        if len(coeffs) != data["order"] + 1:
+        try:
+            order, coeffs = data["order"], [parse_rat(s) for s in data["egf_coeffs"]]
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError("malformed series document (%r)" % (exc,)) from None
+        if len(coeffs) != count(order, "order") + 1:
             raise ValueError("order field disagrees with coefficient count")
         return cls(coeffs)
 

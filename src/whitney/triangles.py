@@ -300,7 +300,15 @@ def rows_from_csv(text: str) -> list:
 
 
 def triangle_from_json(text: str) -> Triangle:
+    """The triangle of a JSON table or poly output; a document of another
+    shape, an unknown kind or an m that is not a positive int raises ValueError."""
     data = json.loads(text)
-    rows = tuple(tuple(parse_rat(v) for v in row) for row in data["rows"])
-    r = None if data["r"] is None else parse_rat(data["r"])
-    return Triangle(data["kind"], data["m"], r, rows)
+    try:
+        kind, m, r = data["kind"], data["m"], data["r"]
+        rows = tuple(tuple(parse_rat(v) for v in row) for row in data["rows"])
+        r = None if r is None else parse_rat(r)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError("malformed triangle document (%r)" % (exc,)) from None
+    if kind not in TRIANGLE_KINDS + FAMILY_KINDS:
+        raise ValueError("unknown kind %r" % (kind,))
+    return Triangle(kind, count(m, "m", 1), r, rows)

@@ -15,7 +15,8 @@ from whitney.enumeration import (
     whitney_pair_count_row,
 )
 from whitney.grammar import whitney_row_from_grammar
-from whitney.identities import dowling_from_determinant, run_all, run_check
+from whitney.identities import dowling_from_determinant
+from whitney.registry import run_all, run_check
 from whitney.riordan import identity_array, whitney1_array, whitney2_array
 from whitney.triangles import (
     dowling_poly,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from whitney import clear_caches, enumeration, identities, triangles
+from whitney import clear_caches, enumeration, registry, triangles
 from whitney.poly import Poly
 from whitney.triangles import (
     FAMILY_KINDS,
@@ -75,7 +75,7 @@ def test_evaluators_survive_a_clear_mid_walk():
     # an evaluator holds the row lists it read; a clear_caches() between
     # its points drops them from the store but leaves them intact
     for name in ("spivey", "inverse-relation", "az-recurrences-W1", "dowling-to-euler"):
-        check = identities.REGISTRY[name]
+        check = registry.REGISTRY[name]
         grid = dict(check.grid, max_n=4, m=(2,), r=(3, Fraction(1, 2)))
         points = 0
         for params, lhs, rhs in check.evaluate(grid):

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from whitney import cli, identities, triangles
-from whitney.identities import CheckReport
+from whitney import cli, registry, triangles
+from whitney.registry import CheckReport
 from whitney.poly import stepped_product
 from whitney.qformat import canonical, parse_rat, rat_str, write
 from whitney.series import Egf
@@ -184,8 +184,8 @@ def test_verify_rational_r_counterexample(capsys, monkeypatch, given, rendered):
         for r in grid["r"]:
             yield {"m": 1, "r": r, "n": 0}, Fraction(1), Fraction(2)
 
-    check = identities.REGISTRY["orthogonality"]
-    monkeypatch.setitem(identities.REGISTRY, "orthogonality", replace(check, evaluate=failing))
+    check = registry.REGISTRY["orthogonality"]
+    monkeypatch.setitem(registry.REGISTRY, "orthogonality", replace(check, evaluate=failing))
     code, out, _ = run_cli(capsys, "verify", "orthogonality", "--r", given)
     assert code == 1
     assert json.loads(out)[0]["counterexample"]["params"] == {"m": 1, "r": rendered, "n": 0}
@@ -213,7 +213,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
         counterexample={"params": {"n": 1}, "lhs": "1", "rhs": "2"},
         elapsed_ms=0,
     )
-    monkeypatch.setattr(identities, "run_all", lambda overrides=None: [report])
+    monkeypatch.setattr(registry, "run_all", lambda overrides=None: [report])
     code, out, _ = run_cli(capsys, "verify", "all", "--format", "pretty")
     assert code == 1
     assert "FAIL" in out and "counterexample" in out
@@ -265,7 +265,7 @@ def test_verify_all_reduced_grid(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "2", "--m", "2", "--r", "1")
     assert code == 0
     data = json.loads(out)
-    assert [rep["name"] for rep in data] == identities.registry_names()
+    assert [rep["name"] for rep in data] == registry.registry_names()
     assert all(rep["status"] == "pass" for rep in data)
 
 
@@ -315,7 +315,7 @@ def test_append_options_do_not_leak_between_calls(capsys):
     ]
     for options, m, r in grids:
         code, out, _ = run_cli(capsys, "verify", "orthogonality", "--max-n", "2", *options)
-        want = identities.run_check("orthogonality", {"max_n": 2, "m": m, "r": r})
+        want = registry.run_check("orthogonality", {"max_n": 2, "m": m, "r": r})
         assert code == 0
         assert json.loads(out)[0]["grid_size"] == want.grid_size == 3 * 2 * len(m) * len(r)
 
@@ -410,7 +410,7 @@ ARGVS = st.one_of(
           {"--order": SIZE, "--k": SIZE, "--u": SIZE, "--m": _values(-1, 4), "--r": SIZE,
            "--format": _formats("csv", "json", "pretty")}),
     # verify always gets a small --max-n: the default grid of every check is slow
-    _argv("verify", st.sampled_from(tuple(identities.registry_names()) + ("all", "bogus")),
+    _argv("verify", st.sampled_from(tuple(registry.registry_names()) + ("all", "bogus")),
           {"--max-n": _values(-1, 3), "--m": _values(-1, 4), "--r": _values(-2, 6),
            "--format": _formats("json", "pretty")}).filter(lambda a: "--max-n" in a),
     _argv("oracle-compare", st.none(),

@@ -6,17 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitney import identities, triangles
+from whitney import identities, registry, triangles
 from whitney.errors import BadGrid, UnknownIdentity, WhitneyError
-from whitney.identities import (
-    IdentityCheck,
-    dowling_from_determinant,
-    exact_det,
-    registry_names,
-    run_all,
-    run_check,
-)
+from whitney.identities import dowling_from_determinant, exact_det
 from whitney.poly import Poly
+from whitney.registry import IdentityCheck, registry_names, run_all, run_check
 from whitney.triangles import bernoulli_poly, dowling_poly, euler_poly, touchard_poly
 
 EXPECTED_NAMES = [
@@ -75,6 +69,8 @@ def test_bad_grid_override():
         ("orthogonality", {"m": (2, 1.5)}),
         ("spivey", {"r": ()}),
         ("delta-ops", {"max_n": 0}),
+        ("orthogonality", {"m": 2}),
+        ("orthogonality", {"r": 2}),
     ],
 )
 def test_grid_gate(name, overrides):
@@ -91,7 +87,7 @@ def test_unknown_identity_message():
 
 @pytest.mark.parametrize("name", EXPECTED_NAMES)
 def test_each_entry_passes_on_reduced_grid(name):
-    grid = identities.REGISTRY[name].grid
+    grid = registry.REGISTRY[name].grid
     overrides = {"max_n": min(4, grid["max_n"])}
     if "max_h" in grid:
         overrides["max_h"] = 4
@@ -163,13 +159,11 @@ def test_counterexample_capture_and_reevaluation(monkeypatch):
     check = IdentityCheck(
         name="always-wrong",
         summary="synthetic failing identity",
-        mode="numeric-at-points",
         grid={"max_n": 5, "m": (1,), "r": (0,)},
         evaluate=bogus,
-        flagged=True,
         variant=corrected,
     )
-    monkeypatch.setitem(identities.REGISTRY, "always-wrong", check)
+    monkeypatch.setitem(registry.REGISTRY, "always-wrong", check)
     rep = run_check("always-wrong")
     assert rep.status == "fail"
     ce = rep.counterexample
@@ -201,7 +195,7 @@ def test_a_stored_fault_is_reported_at_the_first_point_it_reaches(
     rep = run_check(name, {"m": (4, 1), "r": (7, 0)})
     d = dowling_poly(m_hit, 7, 2)
     want = {"params": {"m": m_hit, "r": 7, "n": 2},
-            "lhs": identities._render(d), "rhs": identities._render(d + Poly([1]))}
+            "lhs": registry._render(d), "rhs": registry._render(d + Poly([1]))}
     ce = rep.counterexample
     assert rep.status == "fail" and rep.grid_size == grid_size
     assert {k: v for k, v in ce.items() if k != "correction_counterexample"} == want
@@ -214,10 +208,10 @@ def test_a_stored_fault_is_reported_at_the_first_point_it_reaches(
 def test_the_connection_route_reads_its_source(monkeypatch):
     # with the Euler pair as source under the Bernoulli family the constants
     # are wrong, so the route, its pairs built once per grid and per m, fails
-    check = identities.REGISTRY["dowling-to-bernoulli"]
+    check = registry.REGISTRY["dowling-to-bernoulli"]
     wrong = partial(identities._corrected, source=identities._sheffer_pair_euler,
                     family=bernoulli_poly)
-    monkeypatch.setitem(identities.REGISTRY, check.name, replace(check, variant=wrong))
+    monkeypatch.setitem(registry.REGISTRY, check.name, replace(check, variant=wrong))
     rep = run_check(check.name, {"max_n": 3})
     assert rep.notes == ("literal statement: pass", "connection-constant route: FAIL")
     assert rep.status == "fail"
@@ -235,8 +229,8 @@ def test_sheffer_binomial_rendered_sides():
     # D_2(x + y) = (x + y)^2 + 8(x + y) + 9 at m = 2, r = 3
     want = [[0, 0, "9"], [0, 1, "8"], [0, 2, "1"], [1, 0, "8"], [1, 1, "2"], [2, 0, "1"]]
     lhs, rhs = identities._sheffer_binomial(2, 3, 2)
-    assert identities._render(lhs) == want
-    assert identities._render(rhs) == want
+    assert registry._render(lhs) == want
+    assert registry._render(rhs) == want
 
 
 def test_run_all_subset_and_overrides():

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitney.identities import REGISTRY, exact_det
+from whitney.identities import exact_det
 from whitney.operators import DiffOpSeries
 from whitney.poly import Poly, lincomb
+from whitney.registry import REGISTRY
 from whitney.series import Egf
 from whitney.triangles import (
     bernoulli_numbers,

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 from whitney import series
 from whitney.errors import BadParameter, WhitneyError
 from whitney.grammar import whitney_row_from_grammar
-from whitney.identities import run_check
 from whitney.operators import binomial_power_op, forward_difference_op, scaled_log_op, shift_op
 from whitney.poly import Poly, _convolve, stepped_product
 from whitney.qformat import write
+from whitney.registry import run_check
 from whitney.riordan import OrdRiordan, seq_az, sheffer_polys, whitney1_array, whitney2_array
 from whitney.series import Egf, expm1_scaled, log1p_scaled
 from whitney.triangles import (

@@ -161,7 +161,7 @@ def test_a_sequence_worked_values():
 
 
 def test_row_recurrences_hold_to_ten():
-    from whitney.identities import run_check
+    from whitney.registry import run_check
 
     overrides = {"max_n": 10, "m": (1, 2), "r": (0, 1, 2)}
     assert run_check("az-recurrences-W2", overrides).status == "pass"

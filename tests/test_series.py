@@ -182,3 +182,14 @@ def test_json_round_trip():
     text = out.getvalue()
     assert '"order": 3' in text
     assert Egf.from_json(text) == f
+
+
+@pytest.mark.parametrize("text", [
+    '{"order": true, "egf_coeffs": ["1", "2"]}',  # was Egf(1, 2)
+    '{"order": 1.0, "egf_coeffs": ["1", "2"]}',  # was Egf(1, 2)
+    '{"order": 1}',  # was a bare KeyError
+    '["1", "2"]',  # was a bare TypeError
+], ids=["order-bool", "order-float", "missing-coeffs", "json-list"])
+def test_from_json_refuses_a_malformed_document(text):
+    with pytest.raises(ValueError):
+        Egf.from_json(text)

@@ -313,6 +313,19 @@ def test_triangle_json_round_trip():
     assert isinstance(back, Triangle)
 
 
+@pytest.mark.parametrize("text", [
+    '{"kind": "nope", "m": 1.5, "r": null, "rows": [["1"]]}',  # was a Triangle
+    '{"kind": "dowling", "m": 1.5, "r": null, "rows": [["1"]]}',
+    '{"kind": "dowling", "m": true, "r": null, "rows": [["1"]]}',
+    '{"kind": "dowling", "m": 1, "rows": [["1"]]}',  # was a bare KeyError
+    '[{"kind": "dowling", "m": 1, "r": null, "rows": [["1"]]}]',  # was a bare TypeError
+    '{"kind": "dowling", "m": 1, "r": null, "rows": [[1]]}',
+], ids=["unknown-kind", "m-fraction", "m-bool", "missing-r", "json-list", "int-entry"])
+def test_triangle_from_json_refuses_a_malformed_document(text):
+    with pytest.raises(ValueError):
+        triangle_from_json(text)
+
+
 def test_triangle_kinds_without_r():
     tri = build_triangle("mstirling1", 2, None, 3)
     assert tri.r is None
