@@ -88,9 +88,12 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty the process-wide caches: the triangle row store and its row
     polynomials, the longest Bernoulli and Euler prefixes and their
-    polynomials, and the cached enumeration counts."""
+    polynomials, the printed sums the twin identity checks share, and the
+    cached enumeration counts."""
     triangles._ROWS.clear()
     triangles._POLYS.clear()
     triangles._PREFIXES.clear()
+    for memo in identities._SUMS:
+        memo.cache_clear()
     enumeration._pair_count.cache_clear()
     enumeration._augmented_count.cache_clear()

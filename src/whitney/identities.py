@@ -7,15 +7,14 @@ coefficient, never by sampling; scalar statements are compared at every
 grid point.
 
 Two entries ("dowling-to-bernoulli", "dowling-to-euler") are flagged: the
-printed derivations they come from contain apparent slips, so their
-reports always carry two outcomes: the statement exactly as printed, and
-the same expansion with constants recomputed from the connection-constant
-array.  The report passes only when both routes verify.
+printed derivations they come from contain apparent slips, so each report
+also carries the expansion with constants recomputed from the
+connection-constant array, and passes only when both routes verify.
 """
 
 import random
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 from math import comb, factorial
 from operator import mul
@@ -24,7 +23,7 @@ from .errors import BadGrid
 from .grammar import XYPoly, derive_n, whitney_grammar
 from .operators import forward_difference_op, scaled_log_op, shift_op
 from .poly import Poly, _cleared, lincomb
-from .qformat import rat_str
+from .qformat import canonical, count, rat_str
 from .registry import _identity
 from .riordan import _connection_arrays, whitney1_array, whitney2_array
 from .series import Egf, expm1_scaled, log1p_scaled
@@ -38,8 +37,6 @@ from .triangles import (
     dowling_poly,
     euler_poly,
     euler_zero_values,
-    m_stirling1_row,
-    m_stirling2_row,
     touchard_inverse_poly,
     touchard_poly,
     whitney2_row,
@@ -47,18 +44,7 @@ from .triangles import (
 
 # -- small helpers ------------------------------------------------------
 
-
-def _xpow(n):
-    return Poly([0] * n + [1])
-
-
-def _touchard_at_one(m, n):
-    """T_0(1)..T_n(1), the sums of the r = 0 second-kind rows."""
-    return [sum(row) for row in _rows("whitney2", m, 0, n)[: n + 1]]
-
-
-def _mr(grid):
-    return product(grid["m"], grid["r"])
+_xpow = Poly.const(1).mul_xpow  # _xpow(n) is x^n
 
 
 def exact_det(rows) -> Fraction:
@@ -79,13 +65,10 @@ def exact_det(rows) -> Fraction:
     sign, prev = 1, 1
     for i in range(n - 1):
         if a[i][i] == 0:
-            for j in range(i + 1, n):
-                if a[j][i] != 0:
-                    a[i], a[j] = a[j], a[i]
-                    sign = -sign
-                    break
-            else:
+            j = next((j for j in range(i + 1, n) if a[j][i]), None)
+            if j is None:
                 return Fraction(0)
+            a[i], a[j], sign = a[j], a[i], -sign
         pivot, top = a[i][i], a[i]
         for row in a[i + 1:]:
             lead = row[i]
@@ -119,19 +102,28 @@ def _sheffer_pair_euler(order):
 
 
 _MRN = ("m", "r", "n")
+_OTHER = {"whitney2": "whitney1", "whitney1": "whitney2"}
+_N1 = ("n", lambda grid: range(1, grid["max_n"] + 1))  # n from 1
 
 
 def _sides(m, r, n, rhs, entrywise):
-    """Both sides as polynomials, D_n against rhs, or entrywise: row n of W
-    against rhs's coefficients."""
+    """Both sides: D_n against rhs, or entrywise, row n of W against rhs's coefficients."""
     if entrywise:
         row, cs = whitney2_row(m, r, n), rhs.coeffs
         return row, list(cs[: len(row)]) + [0] * (len(row) - len(cs))
     return dowling_poly(m, r, n), rhs
 
 
-def _n_from_one(grid):
-    return range(1, grid["max_n"] + 1)
+_SUMS = []  # the memo of each printed sum below, emptied by clear_caches()
+
+
+def _memo(fn):
+    """fn(m, *key), a printed sum twin checks share, formed once per process;
+    m is gated and the key made canonical, left to right, before the lookup,
+    as `_rows` keys the store, so a bool or float neither hits nor poisons."""
+    memo = lru_cache(maxsize=None)(fn)
+    _SUMS.append(memo)
+    return lambda m, *key: memo(count(m, "m", 1), *map(canonical, key))
 
 
 # -- identities -----------------------------------------------------------
@@ -143,7 +135,7 @@ def _n_from_one(grid):
 def _egf_whitney2(grid):
     # an array needs order 1 at least; each column is cut back to order max_n
     n_max = grid["max_n"]
-    for m, r in _mr(grid):
+    for m, r in product(grid["m"], grid["r"]):
         rows = _rows("whitney2", m, r, n_max)[: n_max + 1]
         arr = whitney2_array(m, r, max(n_max, 1))
         for k in range(n_max + 1):
@@ -156,13 +148,12 @@ def _egf_whitney2(grid):
 def _egf_dowling(grid):
     # the growth series is built once per (m, r) and shared by every u
     n_max = grid["max_n"]
-    for m, r in _mr(grid):
+    for m, r in product(grid["m"], grid["r"]):
         growth = expm1_scaled(m, n_max)
         rt = Egf([0, r] + [0] * (n_max - 1))
+        D = _polys("whitney2", m, r, n_max)[: n_max + 1]
         for u in grid["u"]:
-            lhs = list((rt + u * growth).exp().a)
-            rhs = [dowling_poly(m, r, n)(u) for n in range(n_max + 1)]
-            yield {"m": m, "r": r, "u": u}, lhs, rhs
+            yield {"m": m, "r": r, "u": u}, list((rt + u * growth).exp().a), [p(u) for p in D]
 
 
 @_identity("lemma-grammar-dowling",
@@ -198,21 +189,21 @@ def _dowling_shift(m, r, l, n):
 @_identity("whitney-convolution", "W(n+h,s) = sum_{k,j} C(n,k) W(h,j) W(k,s-j) (jm)^{n-k}",
            grid={"max_h": 8}, bind={"entrywise": True})
 def _spivey(grid, entrywise):
-    # the printed double sum, summed over k first: inner[j] = sum_k C(n,k)
-    # (jm)^{n-k} D_k, whose u^t coefficient is sum_k C(n,k) (jm)^{n-k} W(k,t),
-    # does not depend on h and is formed once per (m, r, n)
-    max_h = grid["max_h"]
-    for m, r in _mr(grid):
-        d = _rows("whitney2", m, r, max(grid["max_n"], max_h))
-        D = _polys("whitney2", m, r, max(grid["max_n"], max_h))
+    for m, r in product(grid["m"], grid["r"]):
         for n in range(grid["max_n"] + 1):
-            # inner[j] is held times u^j, as the outer sum takes it
-            inner = [lincomb((comb(n, k) * (j * m) ** (n - k), D[k])
-                             for k in range(n + 1)).mul_xpow(j)
-                     for j in range(max_h + 1)]
-            for h in range(max_h + 1):
-                rhs = lincomb((d[h][j], inner[j]) for j in range(h + 1))
+            for h, rhs in enumerate(_spivey_sums(m, r, n, grid["max_h"])):
                 yield {"m": m, "r": r, "n": n, "h": h}, *_sides(m, r, n + h, rhs, entrywise)
+
+
+@_memo
+def _spivey_sums(m, r, n, max_h):
+    # the printed double sum at h = 0..max_h, summed over k first: inner[j] =
+    # sum_k C(n,k) (jm)^{n-k} D_k does not depend on h, and is held times u^j,
+    # as the outer sum takes it; its u^t coefficient is the entrywise sum
+    d, D = _rows("whitney2", m, r, max_h), _polys("whitney2", m, r, n)
+    inner = [lincomb((comb(n, k) * (j * m) ** (n - k), D[k]) for k in range(n + 1)).mul_xpow(j)
+             for j in range(max_h + 1)]
+    return tuple(lincomb((d[h][j], inner[j]) for j in range(h + 1)) for h in range(max_h + 1))
 
 
 @_identity("dowling-recurrence", "D(n+1,u) = r D(n,u) + u sum_j C(n,j) m^{n-j} D(j,u)",
@@ -220,10 +211,15 @@ def _spivey(grid, entrywise):
 @_identity("whitney-recurrence", "W(n+1,k) = r W(n,k) + sum_j C(n,j) m^{n-j} W(j,k-1)",
            _MRN, bind={"entrywise": True})
 def _dowling_recurrence(m, r, n, entrywise):
+    return _sides(m, r, n + 1, _recurrence_sum(m, r, n), entrywise)
+
+
+@_memo
+def _recurrence_sum(m, r, n):
     # u times the sum is taken inside it, one x-shifted row a term
     D = _polys("whitney2", m, r, n)
     terms = [(comb(n, j) * m ** (n - j), D[j].mul_xpow(1)) for j in range(n + 1)]
-    return _sides(m, r, n + 1, lincomb([(r, D[n])] + terms), entrywise)
+    return lincomb([(r, D[n])] + terms)
 
 
 @_identity("r-shift-s", "D_{m,r}(n,u) = sum_j C(n,j) (r-s)^{n-j} D_{m,s}(j,u)",
@@ -233,9 +229,14 @@ def _dowling_recurrence(m, r, n, entrywise):
            ("m", "r", "s", "n"), grid={"s": (0, 1, 2, 3)},
            bind={"entrywise": True})
 def _r_shift_s(m, r, s, n, entrywise):
+    return _sides(m, r, n, _shift_sum(m, s, r, n), entrywise)
+
+
+@_memo
+def _shift_sum(m, s, r, n):
+    # keyed s first: the sum reads D_{m,s} before it reads r
     D = _polys("whitney2", m, s, n)
-    rhs = lincomb((comb(n, j) * (r - s) ** (n - j), D[j]) for j in range(n + 1))
-    return _sides(m, r, n, rhs, entrywise)
+    return lincomb((comb(n, j) * (r - s) ** (n - j), D[j]) for j in range(n + 1))
 
 
 @_identity("touchard-binomial", "the generalized Touchard family is of binomial type",
@@ -245,8 +246,8 @@ def _r_shift_s(m, r, s, n, entrywise):
 def _sheffer_binomial(m, r, n):
     # at r = 0 the Dowling family is the Touchard family itself; a key
     # (i, j) is x^i y^j, x the Dowling and y the Touchard variable
-    d = [dowling_poly(m, r, k).coeffs for k in range(n + 1)]  # D_k has degree k
-    t = [touchard_poly(m, n - k).coeffs for k in range(n + 1)]  # T_{n-k} has degree n-k
+    d = [p.coeffs for p in _polys("whitney2", m, r, n)[: n + 1]]  # D_k has degree k
+    t = [p.coeffs for p in _polys("whitney2", m, 0, n)[n::-1]]  # T_{n-k} has degree n-k
     lhs = XYPoly({(i, k - i): c * comb(k, i) for k, c in enumerate(d[n]) for i in range(k + 1)})
     rhs = XYPoly({
         (i, j): sum(comb(n, k) * d[k][i] * t[k][j] for k in range(i, n - j + 1))
@@ -259,16 +260,13 @@ def _sheffer_binomial(m, r, n):
            "umbral composition of the Touchard family with its inverse gives x^n",
            ("m", "n", ("direction", ("inverse-into-touchard", "touchard-into-inverse"))))
 def _umbral_inverse_touchard(m, n, direction):
-    if direction == "inverse-into-touchard":
-        row, family = m_stirling2_row(m, n), touchard_inverse_poly
-    else:
-        row, family = m_stirling1_row(m, n), touchard_poly
-    return lincomb((row[k], family(m, k)) for k in range(n + 1)), _xpow(n)
+    kind = "whitney2" if direction == "inverse-into-touchard" else "whitney1"
+    return _umbral(kind, m, 0, n, n + 1), _xpow(n)
 
 
 @_identity("delta-ops",
            "(E^m-I)/m lowers the inverse family; ln(1+mD)/m lowers the Touchard family",
-           ("m", ("n", _n_from_one), ("operator", ("forward-difference", "scaled-log"))))
+           ("m", _N1, ("operator", ("forward-difference", "scaled-log"))))
 def _delta_ops(m, n, operator):
     if operator == "forward-difference":
         op, family = forward_difference_op(m, n), touchard_inverse_poly
@@ -278,19 +276,24 @@ def _delta_ops(m, n, operator):
 
 
 @_identity("binomial-recurrences", "That_n(x) = x That_{n-1}(x-m) and T_n(x) = x(1+mD) T_{n-1}(x)",
-           ("m", ("n", _n_from_one), ("family", ("touchard-inverse", "touchard"))))
+           ("m", _N1, ("family", ("touchard-inverse", "touchard"))))
 def _binomial_recurrences(m, n, family):
-    x = Poly.x()
     if family == "touchard-inverse":
-        return touchard_inverse_poly(m, n), x * touchard_inverse_poly(m, n - 1).shifted(-m)
+        return touchard_inverse_poly(m, n), touchard_inverse_poly(m, n - 1).shifted(-m).mul_xpow(1)
     prev = touchard_poly(m, n - 1)
-    return touchard_poly(m, n), x * (prev + m * prev.deriv())
+    return touchard_poly(m, n), (prev + m * prev.deriv()).mul_xpow(1)
 
 
-def _umbral(kind, family, m, r, n, upto):
-    """sum_{k < upto} E(n,k) P_k(x), E the `kind` triangle, P_k = family(m, r, k)."""
+def _umbral(kind, m, r, n, upto):
+    """sum_{k < upto} E(n,k) P_k(x): E the `kind` triangle, P_k row k of the other kind."""
     e = _rows(kind, m, r, n)[n]
-    return lincomb((e[k], family(m, r, k)) for k in range(upto))
+    return lincomb(zip(e[:upto], _polys(_OTHER[kind], m, r, n)))
+
+
+@_memo
+def _power_sum(m, r, n):
+    # x^n = sum_k w(n,k) D_k(x), in power-in-dowling and dowling-umbral-inverse
+    return _umbral("whitney1", m, r, n, n + 1)
 
 
 @_identity("dowling-umbral-inverse",
@@ -300,16 +303,16 @@ def _dowling_umbral_inverse(m, r, n, part):
     if part == "shifted-product":
         return dowling_inverse_poly(m, r, n), shift_op(-r, n)(touchard_inverse_poly(m, n))
     if part == "second-into-inverse":
-        return _umbral("whitney2", dowling_inverse_poly, m, r, n, n + 1), _xpow(n)
-    return _umbral("whitney1", dowling_poly, m, r, n, n + 1), _xpow(n)
+        return _umbral("whitney2", m, r, n, n + 1), _xpow(n)
+    return _power_sum(m, r, n), _xpow(n)
 
 
 @_identity("power-in-dowling", "x^n = sum_k w(n,k) D_k(x) and its rearrangement",
            _MRN + (("part", ("power-expansion", "rearranged")),))
 def _power_in_dowling(m, r, n, part):
     if part == "power-expansion":
-        return _umbral("whitney1", dowling_poly, m, r, n, n + 1), _xpow(n)
-    return dowling_poly(m, r, n), _xpow(n) - _umbral("whitney1", dowling_poly, m, r, n, n)
+        return _power_sum(m, r, n), _xpow(n)
+    return dowling_poly(m, r, n), _xpow(n) - _umbral("whitney1", m, r, n, n)
 
 
 @_identity("dowlstir", "D_n(x) = sum_k r(r-m)...(r-(k-1)m)/k! times the k-th derivative of T_n")
@@ -338,14 +341,13 @@ def _dowlstir(grid):
            "Euler polynomials expanded in the Dowling family through first-kind entries",
            _MRN, bind={"numbers": euler_zero_values, "family": euler_poly})
 def _family_to_dowling(numbers, family, m, r, n):
-    # the numbers over one denominator d: each constant is one Fraction
+    # the numbers over one denominator d: the sum is formed on the numerators
+    # and divided by d once
     c, d = _cleared(numbers(n))
     cn = [comb(n, l) * c[n - l] for l in range(n + 1)]
     w, D = _rows("whitney1", m, r, n), _polys("whitney2", m, r, n)
-    rhs = lincomb(
-        (Fraction(sum(cn[l] * w[l][k] for l in range(k, n + 1)), d), D[k]) for k in range(n + 1)
-    )
-    return family(n), rhs
+    rhs = lincomb((sum(cn[l] * w[l][k] for l in range(k, n + 1)), D[k]) for k in range(n + 1))
+    return family(n), Fraction(1, d) * rhs
 
 
 def _corrected(grid, source, family):
@@ -363,8 +365,8 @@ def _corrected(grid, source, family):
         for r, arr in zip(grid["r"], _connection_arrays(pair, log1p_scaled(m, order), hs)):
             D = _polys("whitney2", m, r, n_max)
             for n in range(n_max + 1):
-                rhs = lincomb((arr.entry(n, k), fam[k]) for k in range(n + 1))
-                yield {"m": m, "r": r, "n": n}, D[n], rhs
+                nums, d = arr._row_numerators(n)
+                yield {"m": m, "r": r, "n": n}, D[n], Fraction(1, d) * lincomb(zip(nums, fam))
 
 
 @_identity("dowling-to-bernoulli",
@@ -378,7 +380,7 @@ def _dowling_to_bernoulli(grid):
     b, d = _cleared(bernoulli_numbers(n_max))
     fam = [bernoulli_poly(k) for k in range(n_max + 1)]
     for m in grid["m"]:
-        t_one = _touchard_at_one(m, n_max + 1)
+        t_one = [sum(row) for row in _rows("whitney2", m, 0, n_max + 1)[: n_max + 2]]  # T_s(1)
         inner = [sum(comb(l + 1, s + 1) * m ** (l - s) * t_one[s + 1] * b[l - s]
                      for s in range(l + 1)) for l in range(n_max + 1)]
         for r in grid["r"]:
@@ -397,7 +399,7 @@ def _dowling_to_euler(grid):
     n_max = grid["max_n"]
     fam = [euler_poly(k) for k in range(n_max + 1)]
     for m in grid["m"]:
-        t_one = _touchard_at_one(m, n_max)
+        t_one = [sum(row) for row in _rows("whitney2", m, 0, n_max)[: n_max + 1]]  # T_l(1)
         for r in grid["r"]:
             W, D = _rows("whitney2", m, r, n_max), _polys("whitney2", m, r, n_max)
             for n in range(n_max + 1):
@@ -462,7 +464,7 @@ def _az_recurrences(grid, kind, numbers):
     cleared = _cleared(numbers(n_max))
     points = [(n, "a-sequence-row") for n in range(n_max)]
     points += [(n, i) for n in range(1, n_max + 1) for i in ("g-shift", "column-scale")]
-    for m, r in _mr(grid):
+    for m, r in product(grid["m"], grid["r"]):
         for n, identity in points:
             params = {"m": m, "r": r, "n": n, "identity": identity}
             yield params, *_az_sides(kind, cleared, m, r, n, identity)
@@ -489,14 +491,12 @@ def _apply(e, f):
 def _inverse_relation(grid):
     # both directions draw, in turn, from one generator per (m, r, seed)
     n_max = grid["max_n"]
-    for m, r in _mr(grid):
+    for m, r in product(grid["m"], grid["r"]):
         W, w = _rows("whitney2", m, r, n_max), _rows("whitney1", m, r, n_max)
         for seed in grid["seeds"]:
             rng = random.Random("inverse-relation-%d-%s-%d" % (m, r, seed))
-            for direction, first, second in (
-                ("second-then-first", W, w),
-                ("first-then-second", w, W),
-            ):
+            for direction, first, second in (("second-then-first", W, w),
+                                             ("first-then-second", w, W)):
                 f = [rng.randint(-9, 9) for _ in range(n_max + 1)]
                 params = {"m": m, "r": r, "seed": seed, "direction": direction}
                 yield params, _apply(second, _apply(first, f)), f

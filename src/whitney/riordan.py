@@ -18,6 +18,7 @@ is only defined on its own array class.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import qformat
 from .errors import NotInvertible, NotSolvable, OrderExceeded
@@ -73,6 +74,13 @@ class ExpRiordan:
         if k > n:
             return Fraction(0)
         return self._col(k).coeff(n)
+
+    def _row_numerators(self, n: int) -> tuple:
+        """Row n, for n <= order, as integer numerators over one denominator,
+        read off the columns' pairs: entry (n, k) is nums[k] / den."""
+        cols = [self._col(k) for k in range(n + 1)]
+        den = lcm(*[col._d for col in cols])
+        return [col._n[n] * (den // col._d) for col in cols], den
 
     def rows(self, n: int = None) -> list:
         n = self.order if n is None else qformat.count(n, "n")

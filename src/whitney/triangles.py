@@ -301,7 +301,8 @@ def rows_from_csv(text: str) -> list:
 
 def triangle_from_json(text: str) -> Triangle:
     """The triangle of a JSON table or poly output; a document of another
-    shape, an unknown kind or an m that is not a positive int raises ValueError."""
+    shape, rows that are not rows 0..N with i + 1 values in row i, an
+    unknown kind or an m that is not a positive int raises ValueError."""
     data = json.loads(text)
     try:
         kind, m, r = data["kind"], data["m"], data["r"]
@@ -309,6 +310,8 @@ def triangle_from_json(text: str) -> Triangle:
         r = None if r is None else parse_rat(r)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError("malformed triangle document (%r)" % (exc,)) from None
+    if not rows or any(len(row) != i + 1 for i, row in enumerate(rows)):
+        raise ValueError("a triangle document needs rows 0..N, row i with i + 1 values")
     if kind not in TRIANGLE_KINDS + FAMILY_KINDS:
         raise ValueError("unknown kind %r" % (kind,))
     return Triangle(kind, count(m, "m", 1), r, rows)

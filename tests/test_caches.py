@@ -1,11 +1,14 @@
 """clear_caches() empties every process-wide cache, and every family is
-rebuilt from cold with identical values and types."""
+rebuilt from cold with identical values and types; the printed sums that
+twin identity checks share report alike cold, warm and in either order."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from whitney import clear_caches, enumeration, registry, triangles
+from whitney import clear_caches, enumeration, identities, registry, triangles
 from whitney.poly import Poly
 from whitney.triangles import (
     FAMILY_KINDS,
@@ -44,7 +47,11 @@ def snapshot():
 
 def test_clear_caches_empties_every_cache():
     snapshot()
+    registry.run_all({"max_n": 2, "max_h": 2})
+    assert len(identities._SUMS) == 4
+    assert all(memo.cache_info().currsize for memo in identities._SUMS)
     clear_caches()
+    assert all(memo.cache_info().currsize == 0 for memo in identities._SUMS)
     assert triangles._ROWS == {}
     assert triangles._POLYS == {}
     assert triangles._PREFIXES == {}
@@ -103,3 +110,58 @@ def test_family_reads_the_stores(kind, r):
         got = family(kind, n, m=2, r=r)
         assert got is STORED[kind](r, n)
         assert got == Poly(build_triangle(kind, 2, r, n).rows[n])
+
+
+# the checks of each group read one memoised printed sum
+TWINS = [
+    ("spivey", "whitney-convolution"),
+    ("dowling-recurrence", "whitney-recurrence"),
+    ("r-shift-s", "whitney-r-shift", "dowling-shift", "dowling-shift-l1"),
+    ("power-in-dowling", "dowling-umbral-inverse"),
+]
+
+
+def _reports(names, overrides):
+    """The reports of `names`, run in that order, with their timings zeroed."""
+    out = {}
+    for name in names:
+        grid = registry.REGISTRY[name].grid
+        rep = registry.run_check(name, {k: v for k, v in overrides.items() if k in grid})
+        out[name] = dict(rep.to_dict(), elapsed_ms=0)
+    return out
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sets(st.integers(1, 4), min_size=1, max_size=2),
+       st.lists(st.builds(Fraction, st.integers(-7, 7), st.integers(1, 7)), min_size=1, max_size=2))
+def test_twin_checks_report_alike_cold_warm_and_reversed(ms, rs):
+    overrides = {"max_n": 4, "max_h": 3, "s": (0, 2), "m": tuple(ms), "r": tuple(rs)}
+    for twins in TWINS:
+        cold = {}
+        for name in twins:
+            clear_caches()
+            cold.update(_reports([name], overrides))
+        clear_caches()
+        assert _reports(twins, overrides) == cold  # each twin after the first reads warm
+        assert _reports(twins, overrides) == cold  # every twin reads warm
+        clear_caches()
+        assert _reports(twins[::-1], overrides) == cold
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+@pytest.mark.parametrize("name", [name for twins in TWINS for name in twins])
+def test_a_bool_or_float_r_fails_warm_as_it_does_cold(name, bad):
+    # an r equal to 1 must neither hit the exact r = 1 sums nor be stored
+    def failure():
+        infos = [memo.cache_info() for memo in identities._SUMS]
+        with pytest.raises(ValueError) as info:
+            registry.run_check(name, {"max_n": 3, "r": (bad,)})
+        assert [memo.cache_info() for memo in identities._SUMS] == infos  # no hit, no entry
+        return type(info.value), str(info.value)
+
+    clear_caches()
+    cold = failure()
+    clear_caches()
+    warm = _reports([n for twins in TWINS for n in twins], {"max_n": 3, "r": (1,)})
+    assert failure() == cold
+    assert _reports(list(warm), {"max_n": 3, "r": (1,)}) == warm

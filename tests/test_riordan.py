@@ -358,3 +358,16 @@ def test_ord_entries_are_the_double_sum(gf):
         for k in range(n + 1):
             got = arr.entry(n, k)
             assert type(got) is Fraction and got == ord_entry(g, f, n, k)
+
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), fracs, st.integers(1, 8))
+def test_row_numerators_are_the_entries_over_one_denominator(m, r, order):
+    # the connection-constant route reads its rows this way, never through entry
+    w1 = whitney1_array(m, r, order)
+    for arr in (whitney2_array(m, r, order), w1, w1.inverse()):
+        for n in range(order + 1):
+            nums, den = arr._row_numerators(n)
+            assert all(type(v) is int for v in nums) and type(den) is int and den > 0
+            assert [Fraction(v, den) for v in nums] == [arr.entry(n, k) for k in range(n + 1)]

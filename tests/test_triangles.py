@@ -16,6 +16,8 @@ from whitney.errors import BadParameter
 from whitney.poly import Poly, stepped_product
 from whitney.qformat import rat_str, write
 from whitney.triangles import (
+    FAMILY_KINDS,
+    TRIANGLE_KINDS,
     Triangle,
     bell_numbers,
     bernoulli_numbers,
@@ -295,7 +297,8 @@ def test_store_rejects_inexact_r(bad_r):
 
 def _written(tri, fmt):
     out = io.StringIO()
-    write(out, fmt, tri.rows, {"kind": tri.kind, "m": tri.m, "r": rat_str(tri.r)})
+    r = None if tri.r is None else rat_str(tri.r)
+    write(out, fmt, tri.rows, {"kind": tri.kind, "m": tri.m, "r": r})
     return out.getvalue()
 
 
@@ -313,6 +316,14 @@ def test_triangle_json_round_trip():
     assert isinstance(back, Triangle)
 
 
+@pytest.mark.parametrize("kind", TRIANGLE_KINDS + FAMILY_KINDS)
+@pytest.mark.parametrize("n", [0, 4])
+def test_every_kind_passes_the_shape_gate(kind, n):
+    # row i of every table and family output holds i + 1 values
+    tri = build_triangle(kind, 2, Fraction(-5, 3), n)
+    assert triangle_from_json(_written(tri, "json")) == tri
+
+
 @pytest.mark.parametrize("text", [
     '{"kind": "nope", "m": 1.5, "r": null, "rows": [["1"]]}',  # was a Triangle
     '{"kind": "dowling", "m": 1.5, "r": null, "rows": [["1"]]}',
@@ -320,7 +331,11 @@ def test_triangle_json_round_trip():
     '{"kind": "dowling", "m": 1, "rows": [["1"]]}',  # was a bare KeyError
     '[{"kind": "dowling", "m": 1, "r": null, "rows": [["1"]]}]',  # was a bare TypeError
     '{"kind": "dowling", "m": 1, "r": null, "rows": [[1]]}',
-], ids=["unknown-kind", "m-fraction", "m-bool", "missing-r", "json-list", "int-entry"])
+    '{"kind": "dowling", "m": 1, "r": null, "rows": [["1", "2"], []]}',  # was a Triangle
+    '{"kind": "dowling", "m": 1, "r": null, "rows": []}',  # was an empty Triangle
+    '{"kind": "dowling", "m": 1, "r": null, "rows": [["1"], ["1"]]}',
+], ids=["unknown-kind", "m-fraction", "m-bool", "missing-r", "json-list", "int-entry",
+        "row-lengths", "no-rows", "short-row"])
 def test_triangle_from_json_refuses_a_malformed_document(text):
     with pytest.raises(ValueError):
         triangle_from_json(text)
