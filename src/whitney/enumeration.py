@@ -98,12 +98,6 @@ def count_whitney_pairs(n: int, k: int, m: int, r: int) -> int:
     return _pair_count(n, k, m, r)
 
 
-def whitney_pair_count_row(n: int, m: int, r: int) -> list:
-    """Counts for every block count k = 0..n, one walk per k."""
-    _guard(n, 0, m, r)
-    return [count_whitney_pairs(n, k, m, r) for k in range(n + 1)]
-
-
 def iter_whitney_pairs(n, k, m, r, order=None):
     """Yield each pair with exactly k blocks as (blocks, slots).
 
@@ -178,12 +172,6 @@ def count_augmented_partitions(n: int, k: int, m: int, r: int) -> int:
     if k > n:
         return 0
     return _augmented_count(n, k, m, r)
-
-
-def augmented_count_row(n: int, m: int, r: int) -> list:
-    """Counts for every block count k = 0..n, one walk per k."""
-    _guard(n, 0, m, r)
-    return [count_augmented_partitions(n, k, m, r) for k in range(n + 1)]
 
 
 def iter_augmented_partitions(n, k, m, r):

@@ -8,6 +8,7 @@ triangle row by row, which this module exposes directly.
 """
 
 from fractions import Fraction
+from itertools import chain
 
 from .errors import BadParameter, StrayMonomial
 from .qformat import canonical, count, exact, rat_str
@@ -19,16 +20,16 @@ class XYPoly:
     """Finite linear combination of monomials y^a x^b with exact coefficients.
 
     ``terms`` maps (a, b) to the coefficient; zero coefficients are never
-    stored, so equality is structural.  A coefficient or scalar factor
-    must be an int or a Fraction: a float or bool raises ValueError.
+    stored, so equality is structural.  Coefficients, exponents (at least 0)
+    and scalar factors are ints or Fractions; a float or bool raises ValueError.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         terms = terms or {}
-        if not {int, Fraction}.issuperset(map(type, terms.values())):
-            for c in terms.values():
+        if not {int, Fraction}.issuperset(map(type, chain(terms.values(), *terms))):
+            for c in chain(terms.values(), *terms):
                 exact(c)
         if any(a < 0 or b < 0 for a, b in terms):
             raise ValueError("negative exponent in monomial")
@@ -90,7 +91,7 @@ class XYPoly:
         if not self.terms:
             return "XYPoly(0)"
         bits = [
-            "%r*y^%d*x^%d" % (c, a, b)
+            "%r*y^%s*x^%s" % (c, rat_str(a), rat_str(b))
             for (a, b), c in sorted(self.terms.items())
         ]
         return "XYPoly(%s)" % " + ".join(bits)

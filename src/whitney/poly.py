@@ -229,10 +229,6 @@ class Poly(_Pair):
             return self
         return Poly._of((0,) * j + self._n, self._d)
 
-    def integral_01(self):
-        """Exact integral of the polynomial over [0, 1]."""
-        return sum((Fraction(c) / (i + 1) for i, c in enumerate(self.coeffs)), Fraction(0))
-
     def __repr__(self):
         return "Poly(%r)" % (list(self.coeffs),)
 

@@ -36,7 +36,6 @@ nothing but ``_product`` (and the canonical form every result is put in);
 the second path exists solely to check the first.
 """
 
-import json
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, gcd, lcm, lgamma, log
@@ -44,7 +43,7 @@ from operator import add, mul
 
 from .errors import BadConstantTerm, NotInvertible, OrderExceeded
 from .poly import _Pair, _cleared, _convolve, _reduced
-from .qformat import count, exact, parse_rat, rat_str
+from .qformat import count, exact, rat_str
 
 
 def _binomial_sum(A, B, n):
@@ -355,21 +354,6 @@ class Egf(_Pair):
             power = power.mul(q)
             out.append(power.coeff(n - 1))
         return Egf(out)
-
-    # -- parsing ------------------------------------------------------
-
-    @classmethod
-    def from_json(cls, text: str) -> "Egf":
-        """The series of a JSON series output; a document of another shape,
-        or an order that is not a count of its coefficients, raises ValueError."""
-        data = json.loads(text)
-        try:
-            order, coeffs = data["order"], [parse_rat(s) for s in data["egf_coeffs"]]
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError("malformed series document (%r)" % (exc,)) from None
-        if len(coeffs) != count(order, "order") + 1:
-            raise ValueError("order field disagrees with coefficient count")
-        return cls(coeffs)
 
 
 def expm1_scaled(m, order: int) -> Egf:

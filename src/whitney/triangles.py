@@ -19,19 +19,19 @@ Polynomial families (by kind string)
 
 The parameter r is accepted as an arbitrary exact rational everywhere the
 algebra allows it; only the enumeration oracles require an integer.
-``build_triangle`` is the one dispatch on triangle and family kind strings;
-it reads row tuples.  The family polynomials that the identity checks sum
-with are built once each, beside the row store, up to the degree asked for.
+One table, ``_KINDS``, says which rows each triangle and family kind reads
+and at which r; ``build_triangle`` and ``family`` both dispatch through it.
+The family polynomials that the identity checks sum with are built once
+each, beside the row store, up to the degree asked for.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
 from .errors import WhitneyError
 from .poly import Poly, _cleared, _make
-from .qformat import canonical, count, parse_rat
+from .qformat import canonical, count
 from .riordan import whitney1_array, whitney2_array
 from .series import Egf
 
@@ -45,6 +45,15 @@ FAMILY_KINDS = (
     "euler",
 )
 SEQUENCE_KINDS = ("bernoulli-numbers", "euler-zero-values", "cauchy1", "bell")
+# kind -> (the row store it reads, or for an Appell kind the sequence of
+# its numbers; whether it reads r, the others reading r = 0)
+_KINDS = {
+    "whitney2": ("whitney2", True), "dowling": ("whitney2", True),
+    "mstirling2": ("whitney2", False), "touchard": ("whitney2", False),
+    "whitney1": ("whitney1", True), "dowling-inverse": ("whitney1", True),
+    "mstirling1": ("whitney1", False), "touchard-inverse": ("whitney1", False),
+    "bernoulli": ("bernoulli-numbers", False), "euler": ("euler-zero-values", False),
+}
 
 
 # -- the row store ----------------------------------------------------
@@ -232,32 +241,28 @@ def bell_numbers(n: int) -> list:
     return out
 
 
+_SEQUENCES = {"bernoulli-numbers": bernoulli_numbers, "euler-zero-values": euler_zero_values,
+              "cauchy1": cauchy_numbers, "bell": bell_numbers}
+
+
 def family(kind: str, n: int, m: int = None, r=None) -> Poly:
     """Degree-n member of the named polynomial family, as stored."""
     if kind not in FAMILY_KINDS:
         raise ValueError("unknown family kind %r" % (kind,))
-    if kind == "bernoulli":
-        return bernoulli_poly(n)
-    if kind == "euler":
-        return euler_poly(n)
-    shift = 0 if kind.startswith("touchard") else r
-    return (dowling_inverse_poly if kind.endswith("inverse") else dowling_poly)(m, shift, n)
+    store, reads_r = _KINDS[kind]
+    if store in _STEPS:
+        return _polys(store, m, r if reads_r else 0, n)[n]
+    return _appell_polys(kind, _SEQUENCES[store], n)[n]
 
 
 def classical_seq(kind: str, n: int) -> list:
     """First n+1 values of the named number sequence."""
-    if kind == "bernoulli-numbers":
-        return bernoulli_numbers(n)
-    if kind == "euler-zero-values":
-        return euler_zero_values(n)
-    if kind == "cauchy1":
-        return cauchy_numbers(n)
-    if kind == "bell":
-        return bell_numbers(n)
-    raise ValueError("unknown sequence kind %r" % (kind,))
+    if kind not in _SEQUENCES:
+        raise ValueError("unknown sequence kind %r" % (kind,))
+    return _SEQUENCES[kind](n)
 
 
-# -- triangle container and its parsers --------------------------------
+# -- triangle container -----------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -275,43 +280,14 @@ def build_triangle(kind: str, m: int, r, n: int) -> Triangle:
     (row j: the degree-j member; a family reports r whether it uses r or not)."""
     count(n, "n")
     count(m, "m", 1)  # every kind, as m is written to the header
-    shift = 0 if kind in ("mstirling2", "touchard", "mstirling1", "touchard-inverse") else r
-    if kind in ("whitney2", "dowling", "mstirling2", "touchard"):
-        rows = _rows("whitney2", m, shift, n)[: n + 1]
-    elif kind in ("whitney1", "dowling-inverse", "mstirling1", "touchard-inverse"):
-        rows = _rows("whitney1", m, shift, n)[: n + 1]
-    elif kind in ("bernoulli", "euler"):
-        # one read of the numbers serves every row: row j uses a_0..a_j
-        nums = bernoulli_numbers(n) if kind == "bernoulli" else euler_zero_values(n)
-        rows = [_appell_row(nums, j) for j in range(n + 1)]
-    else:
+    if kind not in _KINDS:
         raise ValueError("unknown kind %r" % (kind,))
+    store, reads_r = _KINDS[kind]
+    if store in _STEPS:
+        rows = _rows(store, m, r if reads_r else 0, n)[: n + 1]
+    else:  # one read of the numbers serves every row: row j uses a_0..a_j
+        nums = _SEQUENCES[store](n)
+        rows = [_appell_row(nums, j) for j in range(n + 1)]
     r = None if kind.startswith("mstirling") or r is None else canonical(r)
     return Triangle(kind, m, r, tuple(rows))
 
-
-def rows_from_csv(text: str) -> list:
-    """Parse CSV rows of "p/q" entries back to exact values."""
-    return [
-        [parse_rat(v) for v in line.split(",")]
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
-
-
-def triangle_from_json(text: str) -> Triangle:
-    """The triangle of a JSON table or poly output; a document of another
-    shape, rows that are not rows 0..N with i + 1 values in row i, an
-    unknown kind or an m that is not a positive int raises ValueError."""
-    data = json.loads(text)
-    try:
-        kind, m, r = data["kind"], data["m"], data["r"]
-        rows = tuple(tuple(parse_rat(v) for v in row) for row in data["rows"])
-        r = None if r is None else parse_rat(r)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError("malformed triangle document (%r)" % (exc,)) from None
-    if not rows or any(len(row) != i + 1 for i, row in enumerate(rows)):
-        raise ValueError("a triangle document needs rows 0..N, row i with i + 1 values")
-    if kind not in TRIANGLE_KINDS + FAMILY_KINDS:
-        raise ValueError("unknown kind %r" % (kind,))
-    return Triangle(kind, count(m, "m", 1), r, rows)

@@ -8,6 +8,8 @@ the package's own triangle or series code, so agreement is meaningful.
 from fractions import Fraction
 from math import comb
 
+from whitney.qformat import parse_rat
+
 
 def set_partitions(items):
     """Yield every partition of ``items`` as a list of lists."""
@@ -59,3 +61,8 @@ def falling_integral(n):
         shifted = [0] + coeffs
         coeffs = [s - j * c for s, c in zip(shifted, coeffs + [0])]
     return sum(Fraction(c, i + 1) for i, c in enumerate(coeffs))
+
+
+def csv_rows(text):
+    """The rows of a CSV output, each "p/q" entry read back exactly."""
+    return [[parse_rat(v) for v in line.split(",")] for line in text.splitlines()]

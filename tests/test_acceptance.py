@@ -10,9 +10,9 @@ from fractions import Fraction
 
 from oracle_helpers import bernoulli_recurrence, falling_integral
 from whitney.enumeration import (
-    augmented_count_row,
+    count_augmented_partitions,
+    count_whitney_pairs,
     iter_whitney_pairs,
-    whitney_pair_count_row,
 )
 from whitney.grammar import whitney_row_from_grammar
 from whitney.identities import dowling_from_determinant
@@ -76,8 +76,8 @@ def test_criterion_1_four_way_agreement():
                 recurrence = whitney2_row(m, r, n)
                 ok = ok and whitney_row_from_grammar(m, r, n) == recurrence
                 ok = ok and whitney2_row_egf(m, r, n) == recurrence
-                ok = ok and whitney_pair_count_row(n, m, r) == recurrence
-                ok = ok and augmented_count_row(n, m, r) == recurrence
+                ok = ok and [count_whitney_pairs(n, k, m, r) for k in range(n + 1)] == recurrence
+                ok = ok and [count_augmented_partitions(n, k, m, r) for k in range(n + 1)] == recurrence
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 120.0
     _report(

@@ -40,8 +40,8 @@ def snapshot():
             out.append([poly(2, r, n).coeffs for n in (7, 2)])
     out.append([poly(n).coeffs for poly in (bernoulli_poly, euler_poly) for n in (9, 4)])
     for n, m, r in ((5, 2, 1), (6, 1, 3)):
-        out.append(enumeration.whitney_pair_count_row(n, m, r))
-        out.append(enumeration.augmented_count_row(n, m, r))
+        out.append([enumeration.count_whitney_pairs(n, k, m, r) for k in range(n + 1)])
+        out.append([enumeration.count_augmented_partitions(n, k, m, r) for k in range(n + 1)])
     return repr(out)  # repr tells an int from an equal Fraction
 
 

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracle_helpers import csv_rows
 from whitney import cli, registry, triangles
 from whitney.registry import CheckReport
 from whitney.poly import stepped_product
 from whitney.qformat import canonical, parse_rat, rat_str, write
 from whitney.series import Egf
-from whitney.triangles import rows_from_csv, whitney1_row
+from whitney.triangles import whitney1_row
 
 
 def run_cli(capsys, *argv):
@@ -75,10 +76,10 @@ def test_the_writer_matches_json_dumps_and_reads_back(rows, at):
     header = {"kind": "whitney1", "m": 2, "r": "-5/3"}
     want = dict(header, rows=[[rat_str(v) for v in row] for row in rows])
     assert _written("json", rows, header) == json.dumps(want) + "\n"
-    assert rows_from_csv(_written("csv", rows, header)) == rows
+    assert csv_rows(_written("csv", rows, header)) == rows
     flat = {"order": len(rows[0]) - 1, "egf_coeffs": want["rows"][0]}
     assert _written("json", rows[0], {"order": flat["order"]}, "egf_coeffs", flat=True) == json.dumps(flat) + "\n"
-    assert rows_from_csv(_written("csv", rows[0], {}, flat=True)) == rows[:1]
+    assert csv_rows(_written("csv", rows[0], {}, flat=True)) == rows[:1]
 
 
 def test_series_beyond_the_digit_limit_round_trips(capsys):
@@ -87,17 +88,17 @@ def test_series_beyond_the_digit_limit_round_trips(capsys):
     want = [10 ** n for n in range(4302)]
     code, out, err = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0 and not err
-    assert rows_from_csv(out) == [want]
+    assert csv_rows(out) == [want]
     code, out, err = run_cli(capsys, *argv, "--format", "json")
     assert code == 0 and not err
-    assert list(Egf.from_json(out).a) == want
+    assert [parse_rat(v) for v in json.loads(out)["egf_coeffs"]] == want
 
 
 def test_table_csv_worked_example(capsys):
     code, out, _ = run_cli(capsys, "table", "whitney2", "--m", "2", "--r", "3", "--n", "2", "--format", "csv")
     assert code == 0
     assert out == "1\n3,1\n9,8,1\n"
-    assert rows_from_csv(out) == [[1], [3, 1], [9, 8, 1]]
+    assert csv_rows(out) == [[1], [3, 1], [9, 8, 1]]
 
 
 def test_table_json_round_trip(capsys):

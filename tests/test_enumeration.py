@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from oracle_helpers import stirling2_brute
 from whitney.enumeration import (
     MAX_LABELS_ENV,
-    augmented_count_row,
     count_augmented_partitions,
     count_r_stirling_pairs,
     count_whitney_pairs,
     iter_augmented_partitions,
     iter_whitney_pairs,
-    whitney_pair_count_row,
 )
 from whitney.errors import InstanceTooLarge
 from whitney.triangles import whitney2_row
@@ -100,8 +98,8 @@ def test_r_stirling_pairs():
 def test_three_model_agreement_small_grid(m, r):
     for n in range(7):
         row = whitney2_row(m, r, n)
-        assert whitney_pair_count_row(n, m, r) == row
-        assert augmented_count_row(n, m, r) == row
+        assert [count_whitney_pairs(n, k, m, r) for k in range(n + 1)] == row
+        assert [count_augmented_partitions(n, k, m, r) for k in range(n + 1)] == row
 
 
 def test_listing_matches_counts():

@@ -27,6 +27,7 @@ def test_xypoly_normalization():
     assert mono(1, 0) * mono(0, 3, 2) == mono(1, 3, 2)
     with pytest.raises(ValueError):
         XYPoly({(-1, 0): 1})
+    assert repr(XYPoly.monomial(1, Fraction(1, 2), 3)) == "XYPoly(3*y^1*x^1/2)"
 
 
 @pytest.mark.parametrize("call", [
@@ -36,6 +37,10 @@ def test_xypoly_normalization():
     lambda: XYPoly.monomial(1, 2) * 0.5,
     lambda: 0.5 * XYPoly.monomial(1, 2),
     lambda: XYPoly.monomial(1, 2) * True,
+    # exponents are gated as coefficients are
+    lambda: XYPoly({(1, 0.5): 1}),
+    lambda: XYPoly({(True, 2): 1}),
+    lambda: XYPoly.monomial(1, 2.0),
 ])
 def test_xypoly_refuses_inexact_coefficients(call):
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ canonical form of a series; and the exactness and parameter gates that
 every stored coefficient and every series parameter passes."""
 
 import io
+import json
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -18,7 +19,7 @@ from whitney.errors import BadParameter, WhitneyError
 from whitney.grammar import whitney_row_from_grammar
 from whitney.operators import binomial_power_op, forward_difference_op, scaled_log_op, shift_op
 from whitney.poly import Poly, _convolve, stepped_product
-from whitney.qformat import write
+from whitney.qformat import parse_rat, write
 from whitney.registry import run_check
 from whitney.riordan import OrdRiordan, seq_az, sheffer_polys, whitney1_array, whitney2_array
 from whitney.series import Egf, expm1_scaled, log1p_scaled
@@ -124,10 +125,10 @@ def test_reverse_agrees_with_lagrange_where_the_product_form_flips(monkeypatch, 
     assert bool(used) is (order >= 30) and all(n >= 30 for n in used)
 
 
-def _json(series):
+def _json_round_trip(series):
     out = io.StringIO()
     write(out, "json", series.a, {"order": series.order}, "egf_coeffs", flat=True)
-    return out.getvalue()
+    return Egf([parse_rat(v) for v in json.loads(out.getvalue())["egf_coeffs"]])
 
 
 @settings(max_examples=20, deadline=None)
@@ -139,7 +140,7 @@ def test_equal_series_built_by_different_routes_are_equal_and_hash_equal(m, orde
         Fraction(1, m) * (Egf.exp_linear(m, order) - Egf.one(order)),
         Egf([0] + [m ** (k - 1) for k in range(1, order + 1)]),
         Egf.from_ordinary(Egf([0] + [Fraction(m ** (k - 1)) for k in range(1, order + 1)]).ordinary()),
-        Egf.from_json(_json(expm1_scaled(m, order + 3).truncate(order))),
+        _json_round_trip(expm1_scaled(m, order + 3).truncate(order)),
     ]
     assert all(r == routes[0] and hash(r) == hash(routes[0]) for r in routes)
     logs = [log1p_scaled(m, order), Fraction(1, m) * Egf.one_plus_ct(m, order).log()]

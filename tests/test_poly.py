@@ -36,7 +36,6 @@ def test_arithmetic_basics():
     assert Poly([1, 1]).shifted(1) == Poly([2, 1])
     assert Poly([0, 0, 1]).shifted(-3) == Poly([9, -6, 1])
     assert Poly([0, 0, 1]).deriv() == Poly([0, 2])
-    assert Poly([0, 1]).integral_01() == Fraction(1, 2)
     assert Poly([1, 2]).mul_xpow(2) == Poly([0, 0, 1, 2])
 
 

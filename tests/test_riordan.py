@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_helpers import bernoulli_recurrence, falling_integral
+from oracle_helpers import bernoulli_recurrence, csv_rows, falling_integral
 from whitney.errors import BadParameter, NotInvertible, NotSolvable, OrderExceeded
 from whitney.poly import Poly
 from whitney.qformat import write
@@ -174,13 +174,11 @@ def test_row_recurrences_hold_to_ten():
 def test_array_export_round_trip():
     import json
 
-    from whitney.triangles import rows_from_csv
-
     w1 = whitney1_array(2, 3, 3)
     csv, text = io.StringIO(), io.StringIO()
     write(csv, "csv", w1.rows(), {})
     write(text, "json", w1.rows(), {"order": w1.order})
-    assert rows_from_csv(csv.getvalue())[2] == [15, -8, 1]
+    assert csv_rows(csv.getvalue())[2] == [15, -8, 1]
     data = json.loads(text.getvalue())
     assert data["order"] == 3
     assert data["rows"][3] == ["-105", "71", "-15", "1"]

@@ -1,4 +1,5 @@
 import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 from oracle_helpers import (
     bell_recurrence,
     bernoulli_recurrence,
+    csv_rows,
     euler_zero_recurrence,
     falling_integral,
     stirling2_brute,
 )
 from whitney.errors import BadParameter
 from whitney.poly import Poly, stepped_product
-from whitney.qformat import rat_str, write
+from whitney.qformat import parse_rat, rat_str, write
 from whitney.triangles import (
     FAMILY_KINDS,
     TRIANGLE_KINDS,
@@ -32,10 +34,8 @@ from whitney.triangles import (
     family,
     m_stirling1_row,
     m_stirling2_row,
-    rows_from_csv,
     touchard_inverse_poly,
     touchard_poly,
-    triangle_from_json,
     whitney1_row,
     whitney1_row_egf,
     whitney2_row,
@@ -302,16 +302,23 @@ def _written(tri, fmt):
     return out.getvalue()
 
 
+def _read(text):
+    """The Triangle of a JSON table or poly output, read back."""
+    data = json.loads(text)
+    r = None if data["r"] is None else parse_rat(data["r"])
+    return Triangle(data["kind"], data["m"], r, tuple(tuple(map(parse_rat, row)) for row in data["rows"]))
+
+
 def test_triangle_csv_round_trip():
     tri = build_triangle("whitney1", 2, 3, 3)
     text = _written(tri, "csv")
     assert text.splitlines()[2] == "15,-8,1"
-    assert rows_from_csv(text) == [list(row) for row in tri.rows]
+    assert csv_rows(text) == [list(row) for row in tri.rows]
 
 
 def test_triangle_json_round_trip():
     tri = build_triangle("whitney2", 2, Fraction(1, 2), 3)
-    back = triangle_from_json(_written(tri, "json"))
+    back = _read(_written(tri, "json"))
     assert back == tri
     assert isinstance(back, Triangle)
 
@@ -321,24 +328,8 @@ def test_triangle_json_round_trip():
 def test_every_kind_passes_the_shape_gate(kind, n):
     # row i of every table and family output holds i + 1 values
     tri = build_triangle(kind, 2, Fraction(-5, 3), n)
-    assert triangle_from_json(_written(tri, "json")) == tri
-
-
-@pytest.mark.parametrize("text", [
-    '{"kind": "nope", "m": 1.5, "r": null, "rows": [["1"]]}',  # was a Triangle
-    '{"kind": "dowling", "m": 1.5, "r": null, "rows": [["1"]]}',
-    '{"kind": "dowling", "m": true, "r": null, "rows": [["1"]]}',
-    '{"kind": "dowling", "m": 1, "rows": [["1"]]}',  # was a bare KeyError
-    '[{"kind": "dowling", "m": 1, "r": null, "rows": [["1"]]}]',  # was a bare TypeError
-    '{"kind": "dowling", "m": 1, "r": null, "rows": [[1]]}',
-    '{"kind": "dowling", "m": 1, "r": null, "rows": [["1", "2"], []]}',  # was a Triangle
-    '{"kind": "dowling", "m": 1, "r": null, "rows": []}',  # was an empty Triangle
-    '{"kind": "dowling", "m": 1, "r": null, "rows": [["1"], ["1"]]}',
-], ids=["unknown-kind", "m-fraction", "m-bool", "missing-r", "json-list", "int-entry",
-        "row-lengths", "no-rows", "short-row"])
-def test_triangle_from_json_refuses_a_malformed_document(text):
-    with pytest.raises(ValueError):
-        triangle_from_json(text)
+    back = _read(_written(tri, "json"))
+    assert back == tri and [len(row) for row in back.rows] == list(range(1, n + 2))
 
 
 def test_triangle_kinds_without_r():
