@@ -7,7 +7,7 @@ structure enumeration -- and an identity harness checks every stated
 relation between the families in exact rational arithmetic.
 """
 
-from . import enumeration, identities, triangles  # identities fills the registry
+from . import identities, triangles  # identities fills the registry
 from .enumeration import (
     count_augmented_partitions,
     count_r_stirling_pairs,
@@ -88,12 +88,9 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty the process-wide caches: the triangle row store and its row
     polynomials, the longest Bernoulli and Euler prefixes and their
-    polynomials, the printed sums the twin identity checks share, and the
-    cached enumeration counts."""
+    polynomials, and the printed sums the twin identity checks share."""
     triangles._ROWS.clear()
     triangles._POLYS.clear()
     triangles._PREFIXES.clear()
     for memo in identities._SUMS:
         memo.cache_clear()
-    enumeration._pair_count.cache_clear()
-    enumeration._augmented_count.cache_clear()

@@ -33,7 +33,7 @@ exactly one branch, and the listers yield the same structures in the same
 order as an unpruned walk filtered to k.  The bound is an inequality on
 the walk's own state, not the recurrence, and the two models keep separate
 walks.  A request therefore costs about W(n, k) leaves, not the row sum
-over all k; counts are cached per (n, k, m, r).
+over all k.
 
 Instances are capped at n + r labels (default 12, override with the
 WHITNEY_ORACLE_MAX_LABELS environment variable) because the structure
@@ -41,7 +41,6 @@ count grows super-exponentially.
 """
 
 import os
-from functools import lru_cache
 
 from .errors import InstanceTooLarge
 from .qformat import count
@@ -72,7 +71,6 @@ def _guard(n, k, m, r):
         )
 
 
-@lru_cache(maxsize=None)
 def _pair_count(n, k, m, r):
     # element i: open a block / join block b with color c / take slot s;
     # the bound prunes every branch that cannot end with exactly k blocks
@@ -141,7 +139,6 @@ def iter_whitney_pairs(n, k, m, r, order=None):
     yield from place(0)
 
 
-@lru_cache(maxsize=None)
 def _augmented_count(n, k, m, r):
     # element e: join special block s / join non-special block b, coloring
     # the displaced maximum with one of m colors / open a new block; the

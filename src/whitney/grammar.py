@@ -7,6 +7,7 @@ at a time by its image.  Iterating the derivative of the rule set
 triangle row by row, which this module exposes directly.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -97,17 +98,12 @@ class XYPoly:
         return "XYPoly(%s)" % " + ".join(bits)
 
 
+@dataclass(frozen=True, slots=True)
 class Grammar:
     """Substitution rules: one image per variable."""
 
-    __slots__ = ("y_image", "x_image")
-
-    def __init__(self, y_image: XYPoly, x_image: XYPoly):
-        object.__setattr__(self, "y_image", y_image)
-        object.__setattr__(self, "x_image", x_image)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Grammar is immutable")
+    y_image: XYPoly
+    x_image: XYPoly
 
 
 def whitney_grammar(m: int) -> Grammar:
@@ -118,7 +114,7 @@ def whitney_grammar(m: int) -> Grammar:
 
 def stirling_grammar() -> Grammar:
     """Rules y -> x y, x -> x."""
-    return Grammar(XYPoly.monomial(1, 1), XYPoly.monomial(0, 1))
+    return whitney_grammar(1)
 
 
 def derive_once(g: Grammar, p: XYPoly) -> XYPoly:

@@ -50,14 +50,14 @@ _xpow = Poly.const(1).mul_xpow  # _xpow(n) is x^n
 def exact_det(rows) -> Fraction:
     """Determinant by fraction-free Bareiss elimination on plain ints.
 
-    Each row is first scaled by the lcm of its denominators, so every
-    entry is an int and every Bareiss division is exact; the determinant
-    of the scaled matrix is then divided by the product of the scales.
+    Each row is scaled by the lcm of its denominators (a float or bool
+    raises ValueError), so every entry is an int and every Bareiss division
+    is exact; the scaled determinant is then divided by the scales' product.
     """
     a, scale = [], 1
     for row in rows:
-        nums, d = _cleared([v if type(v) is int else Fraction(v) for v in row])
-        a.append(nums)
+        nums, d = _cleared(row)
+        a.append(list(nums))
         scale *= d
     n = len(a)
     if n == 0:

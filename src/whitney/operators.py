@@ -6,6 +6,7 @@ polynomial of degree d consumes exactly d+1 terms, which makes the
 truncated action exact: D^{d+1} annihilates the argument.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -15,16 +16,11 @@ from .qformat import count
 from .series import Egf
 
 
+@dataclass(frozen=True, slots=True)
 class DiffOpSeries:
     """Linear operator sum_k b_k D^k / k! with b taken from an Egf in D."""
 
-    __slots__ = ("series",)
-
-    def __init__(self, series: Egf):
-        object.__setattr__(self, "series", series)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiffOpSeries is immutable")
+    series: Egf
 
     @property
     def order(self) -> int:
@@ -40,9 +36,6 @@ class DiffOpSeries:
             terms.append((self.series.a[k] / factorial(k), dp))
             dp = dp.deriv()
         return lincomb(terms)
-
-    def __repr__(self):
-        return "DiffOpSeries(%r)" % (self.series,)
 
 
 def shift_op(a, order: int) -> DiffOpSeries:

@@ -21,7 +21,7 @@ with, adds plain ints read off each term's pair.
 """
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .qformat import canonical, count, exact
 
@@ -81,6 +81,8 @@ class _Pair:
         over den > 0 with no common factor."""
         return object.__new__(cls)._set(nums, den, view)
 
+    # not a frozen dataclass, and neither is XYPoly: their hot constructors,
+    # _of and XYPoly._merged, skip __init__, and test_poly pins this message
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
@@ -210,17 +212,11 @@ class Poly(_Pair):
         return _make([i * v for i, v in enumerate(self._n)][1:], self._d)
 
     def shifted(self, a) -> "Poly":
-        """p(x + a), expanded binomially."""
-        a = exact(a)
-        out = [0] * len(self._n)
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            pw = 1
-            for i in range(k, -1, -1):
-                out[i] += c * comb(k, i) * pw
-                pw *= a
-        return Poly(out)
+        """p(x + a), by Horner's rule on x + a."""
+        x_a, out = Poly((a, 1)), Poly()
+        for c in reversed(self.coeffs):
+            out = out * x_a + Poly((c,))
+        return out
 
     def mul_xpow(self, j: int) -> "Poly":
         """x^j times the polynomial."""
@@ -286,9 +282,5 @@ def falling_basis_expand(p: Poly) -> list:
 
 def from_falling_basis(cs) -> Poly:
     """Rebuild sum c_k x(x-1)...(x-k+1) as an ordinary polynomial."""
-    out = Poly()
-    for k, c in enumerate(cs):
-        if c != 0:
-            out = out + c * stepped_product(k, 1, 0)
-    return out
+    return lincomb((c, stepped_product(k, 1, 0)) for k, c in enumerate(cs))
 

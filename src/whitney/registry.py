@@ -124,8 +124,8 @@ def _lookup(name) -> IdentityCheck:
 def _gate(check, overrides):
     """The check's grid under `overrides`.  Reject a key the grid lacks, a
     value that is not a tuple where the grid holds one, and bounds no walk
-    can take: a max_n or max_h that is not a nonnegative int, or an m that
-    is not a positive int."""
+    can take: a max_n, max_h or seed that is not a nonnegative int, or an m
+    that is not a positive int."""
     name, grid = check.name, dict(check.grid)
     for key, value in overrides.items():
         if key not in grid:
@@ -139,6 +139,8 @@ def _gate(check, overrides):
                 count(grid[key], key)
         for m in grid.get("m", ()):
             count(m, "m", 1)
+        for seed in grid.get("seeds", ()):
+            count(seed, "seed")
     except BadParameter as exc:
         raise BadGrid("identity %r: %s" % (name, exc)) from None
     return grid

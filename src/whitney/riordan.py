@@ -16,7 +16,7 @@ Mixing the two normalizations is a type error at this API: each sequence
 is only defined on its own array class.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -27,15 +27,18 @@ from .qformat import exact
 from .series import Egf, expm1_scaled, log1p_scaled
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ExpRiordan:
     """Exponential Riordan array <g, f>; g(0) != 0, f(0) = 0, f'(0) != 0."""
 
-    __slots__ = ("g", "f", "_cols")
+    g: Egf
+    f: Egf
+    _cols: dict = field(init=False, repr=False)
 
-    def __init__(self, g: Egf, f: Egf):
-        order = min(g.order, f.order)
-        g = g.truncate(order)
-        f = f.truncate(order)
+    def __post_init__(self):
+        order = min(self.g.order, self.f.order)
+        g = self.g.truncate(order)
+        f = self.f.truncate(order)
         if g.coeff(0) == 0:
             raise NotInvertible("g must not vanish at 0")
         if f.coeff(0) != 0:
@@ -45,9 +48,6 @@ class ExpRiordan:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "_cols", {0: g})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExpRiordan is immutable")
 
     @property
     def order(self) -> int:
@@ -117,18 +117,21 @@ class ExpRiordan:
             ) == other.f.truncate(n)
         return NotImplemented
 
-    def __repr__(self):
-        return "ExpRiordan(g=%r, f=%r)" % (self.g, self.f)
 
-
+@dataclass(frozen=True, slots=True, eq=False)
 class OrdRiordan:
     """Ordinary Riordan array (g, f) with entries [z^n] g f^k."""
 
-    __slots__ = ("g", "f", "_f", "_cols")
+    g: tuple
+    f: tuple
+    # f, and column k = g f^k for each k built so far, as integer
+    # numerators over one denominator
+    _f: tuple = field(init=False, repr=False)
+    _cols: dict = field(init=False, repr=False)
 
-    def __init__(self, g, f):
-        g = tuple(Fraction(exact(c)) for c in g)
-        f = tuple(Fraction(exact(c)) for c in f)
+    def __post_init__(self):
+        g = tuple(Fraction(exact(c)) for c in self.g)
+        f = tuple(Fraction(exact(c)) for c in self.f)
         if not g or not f:
             raise ValueError("empty coefficient sequence")
         if f[0] != 0:
@@ -136,13 +139,8 @@ class OrdRiordan:
         n = min(len(g), len(f))
         object.__setattr__(self, "g", g[:n])
         object.__setattr__(self, "f", f[:n])
-        # f, and column k = g f^k for each k built so far, as integer
-        # numerators over one denominator
         object.__setattr__(self, "_f", _cleared(f[:n]))
         object.__setattr__(self, "_cols", {0: _cleared(g[:n])})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrdRiordan is immutable")
 
     @property
     def order(self) -> int:

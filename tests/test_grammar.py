@@ -73,6 +73,10 @@ def test_whitney_first_derivative_of_y_x3():
     assert derive_once(g, mono(1, 3)) == mono(1, 5) + mono(1, 3, 3)
 
 
+def test_stirling_grammar_is_the_whitney_grammar_at_m_1():
+    assert stirling_grammar() == whitney_grammar(1)
+
+
 def test_stirling_rule_leibniz_on_xy():
     g = stirling_grammar()
     assert derive_once(g, mono(1, 1)) == mono(1, 2) + mono(1, 1)

@@ -71,6 +71,9 @@ def test_bad_grid_override():
         ("delta-ops", {"max_n": 0}),
         ("orthogonality", {"m": 2}),
         ("orthogonality", {"r": 2}),
+        ("inverse-relation", {"seeds": ("x",)}),
+        ("inverse-relation", {"seeds": (1.5,)}),
+        ("inverse-relation", {"seeds": (True,)}),
     ],
 )
 def test_grid_gate(name, overrides):
@@ -246,6 +249,19 @@ def test_exact_det_small_cases():
     assert exact_det([[0, 1], [1, 0]]) == -1  # needs a row swap
     assert exact_det([[1, 2], [2, 4]]) == 0  # singular
     assert exact_det([[Fraction(1, 2), 0], [7, Fraction(2, 3)]]) == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("rows", [[[0.5]], [[True, 2], [3, 4]]])
+def test_exact_det_refuses_an_inexact_entry(rows):
+    with pytest.raises(ValueError):
+        exact_det(rows)
+
+
+def test_exact_det_leaves_its_rows_intact():
+    # the elimination writes in place, so it works on a copy of each row
+    rows = [[1, 2], [3, 4]]
+    exact_det(rows)
+    assert rows == [[1, 2], [3, 4]]
 
 
 def test_exact_det_against_cofactor_expansion():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from oracle_helpers import bernoulli_recurrence, csv_rows, falling_integral
 from whitney.errors import BadParameter, NotInvertible, NotSolvable, OrderExceeded
+from whitney.grammar import whitney_grammar
+from whitney.operators import shift_op
 from whitney.poly import Poly
 from whitney.qformat import write
 from whitney.riordan import (
@@ -89,6 +91,20 @@ def test_constructor_validation():
         ExpRiordan(Egf.one(4), Egf.one(4))  # f does not vanish
     with pytest.raises(NotInvertible):
         ExpRiordan(Egf.one(4), Egf([0, 0, 1, 0, 0]))  # f'(0) = 0
+
+
+@pytest.mark.parametrize(
+    "value, attr",
+    [
+        (whitney_grammar(2), "y_image"),
+        (shift_op(1, 3), "series"),
+        (identity_array(3), "g"),
+        (OrdRiordan([1, 1], [0, 1]), "f"),
+    ],
+)
+def test_values_refuse_attribute_assignment(value, attr):
+    with pytest.raises(AttributeError):
+        setattr(value, attr, getattr(value, attr))
 
 
 def test_mul_with_identity():
