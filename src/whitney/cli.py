@@ -21,7 +21,7 @@ from . import enumeration, registry, riordan, triangles
 from .errors import WhitneyError
 from .grammar import whitney_row_from_grammar
 from .qformat import parse_rat, rat_str, write
-from .series import Egf, expm1_scaled
+from .series import Egf
 
 TABLE_KINDS = triangles.TRIANGLE_KINDS
 POLY_KINDS = triangles.FAMILY_KINDS
@@ -65,19 +65,14 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("table", help="print triangle rows 0..n")
-    p.add_argument("kind", choices=TABLE_KINDS)
-    p.add_argument("--m", type=_positive_int, default=1)
-    p.add_argument("--r", type=parse_rat, default=0)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty")
-
-    p = sub.add_parser("poly", help="print family members of degree 0..n")
-    p.add_argument("kind", choices=POLY_KINDS)
-    p.add_argument("--m", type=_positive_int, default=1)
-    p.add_argument("--r", type=parse_rat, default=0)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty")
+    for verb, kinds, text in (("table", TABLE_KINDS, "print triangle rows 0..n"),
+                              ("poly", POLY_KINDS, "print family members of degree 0..n")):
+        p = sub.add_parser(verb, help=text)
+        p.add_argument("kind", choices=kinds)
+        p.add_argument("--m", type=_positive_int, default=1)
+        p.add_argument("--r", type=parse_rat, default=0)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty")
 
     p = sub.add_parser("series", help="print EGF coefficients to a given order")
     p.add_argument("kind", choices=SERIES_KINDS)
@@ -120,8 +115,7 @@ def _series_for(args):
     if args.kind in triangles.SEQUENCE_KINDS:
         return Egf(triangles.classical_seq(args.kind, args.order))
     if args.kind == "dowling-egf":
-        rt = Egf([0, args.r] + [0] * (args.order - 1))
-        return (rt + args.u * expm1_scaled(args.m, args.order)).exp()
+        return riordan._dowling_egf(args.m, args.r, args.u, args.order)
     if not 0 <= args.k <= args.order:
         raise WhitneyError("--k must be between 0 and --order")
     if args.kind == "whitney2-column":

@@ -71,7 +71,10 @@ def _guard(n, k, m, r):
         )
 
 
-def _pair_count(n, k, m, r):
+def count_whitney_pairs(n: int, k: int, m: int, r: int) -> int:
+    """Number of block/composition pairs over {1..n} with exactly k blocks."""
+    _guard(n, k, m, r)
+
     # element i: open a block / join block b with color c / take slot s;
     # the bound prunes every branch that cannot end with exactly k blocks
     def place(i, nblocks):
@@ -86,14 +89,6 @@ def _pair_count(n, k, m, r):
         return found
 
     return place(1, 0)
-
-
-def count_whitney_pairs(n: int, k: int, m: int, r: int) -> int:
-    """Number of block/composition pairs over {1..n} with exactly k blocks."""
-    _guard(n, k, m, r)
-    if k > n:
-        return 0
-    return _pair_count(n, k, m, r)
 
 
 def iter_whitney_pairs(n, k, m, r, order=None):
@@ -139,7 +134,14 @@ def iter_whitney_pairs(n, k, m, r, order=None):
     yield from place(0)
 
 
-def _augmented_count(n, k, m, r):
+def count_augmented_partitions(n: int, k: int, m: int, r: int) -> int:
+    """Partitions of {1..n+r} into k+r blocks under the augmented model.
+
+    Labels 1..r lie in distinct special blocks; each non-special block
+    colors all of its elements except the maximum with one of m colors.
+    """
+    _guard(n, k, m, r)
+
     # element e: join special block s / join non-special block b, coloring
     # the displaced maximum with one of m colors / open a new block; the
     # bound prunes every branch that cannot end with exactly k blocks
@@ -157,18 +159,6 @@ def _augmented_count(n, k, m, r):
         return found
 
     return place(r + 1, 0)
-
-
-def count_augmented_partitions(n: int, k: int, m: int, r: int) -> int:
-    """Partitions of {1..n+r} into k+r blocks under the augmented model.
-
-    Labels 1..r lie in distinct special blocks; each non-special block
-    colors all of its elements except the maximum with one of m colors.
-    """
-    _guard(n, k, m, r)
-    if k > n:
-        return 0
-    return _augmented_count(n, k, m, r)
 
 
 def iter_augmented_partitions(n, k, m, r):

@@ -25,7 +25,7 @@ from .operators import forward_difference_op, scaled_log_op, shift_op
 from .poly import Poly, _cleared, lincomb
 from .qformat import canonical, count, rat_str
 from .registry import _identity
-from .riordan import _connection_arrays, whitney1_array, whitney2_array
+from .riordan import _connection_arrays, _dowling_egf, whitney1_array, whitney2_array
 from .series import Egf, expm1_scaled, log1p_scaled
 from .triangles import (
     _polys,
@@ -107,10 +107,10 @@ _N1 = ("n", lambda grid: range(1, grid["max_n"] + 1))  # n from 1
 
 
 def _sides(m, r, n, rhs, entrywise):
-    """Both sides: D_n against rhs, or entrywise, row n of W against rhs's coefficients."""
+    """D_n against rhs or, entrywise, row n of W against rhs's coefficients, zero-padded."""
     if entrywise:
-        row, cs = whitney2_row(m, r, n), rhs.coeffs
-        return row, list(cs[: len(row)]) + [0] * (len(row) - len(cs))
+        row, cs = whitney2_row(m, r, n), list(rhs.coeffs)
+        return row + [0] * (len(cs) - len(row)), cs + [0] * (len(row) - len(cs))
     return dowling_poly(m, r, n), rhs
 
 
@@ -146,14 +146,12 @@ def _egf_whitney2(grid):
 @_identity("egf-dowling", "exp(rt + u(e^{mt}-1)/m) generates the Dowling row polynomials",
            grid={"u": (0, 1, 2, 3)})
 def _egf_dowling(grid):
-    # the growth series is built once per (m, r) and shared by every u
+    # the series is the one `series dowling-egf` prints
     n_max = grid["max_n"]
     for m, r in product(grid["m"], grid["r"]):
-        growth = expm1_scaled(m, n_max)
-        rt = Egf([0, r] + [0] * (n_max - 1))
         D = _polys("whitney2", m, r, n_max)[: n_max + 1]
         for u in grid["u"]:
-            yield {"m": m, "r": r, "u": u}, list((rt + u * growth).exp().a), [p(u) for p in D]
+            yield {"m": m, "r": r, "u": u}, list(_dowling_egf(m, r, u, n_max).a), [p(u) for p in D]
 
 
 @_identity("lemma-grammar-dowling",

@@ -101,18 +101,17 @@ class _Pair:
 def lincomb(terms) -> "Poly":
     """The polynomial sum of c * p over the (c, p) pairs of `terms`.
 
-    p is a Poly, whose pair is read as it is, or a sequence of coefficients
-    by ascending power, scanned once.  The sum is kept as integer numerators
-    over one running lcm of the terms' denominators, rescaled only when a
-    term's denominator does not divide it, so the inner loop adds plain
-    ints; the result is reduced once at the end.  A float or bool, as c or
-    as a coefficient, raises ValueError.
+    Each p is a Poly, whose pair is read as it is.  The sum is kept as
+    integer numerators over one running lcm of the terms' denominators,
+    rescaled only when a term's denominator does not divide it, so the
+    inner loop adds plain ints; the result is reduced once at the end.  A
+    float or bool as c raises ValueError.
     """
     out, den = [], 1
     for c, p in terms:
         if not c:
             continue
-        nums, d = (p._n, p._d) if type(p) is Poly else _cleared(p)
+        nums, d = p._n, p._d
         if type(c) is not int:
             c = exact(c)
             c, d = c.numerator, d * c.denominator

@@ -50,7 +50,6 @@ class CheckReport:
 
 
 _BASE = {"max_n": 8, "m": (1, 2, 3), "r": (0, 1, 2, 3)}
-_RANGES = {"n": "max_n", "h": "max_h"}
 
 REGISTRY: dict = {}
 
@@ -58,13 +57,12 @@ REGISTRY: dict = {}
 def _axis(axis, grid):
     """The name of one axis and its values at `grid`.
 
-    An axis is a grid key ("n" runs over 0..max_n, "h" over 0..max_h, any
-    other key over its tuple of values) or a pair (name, values) whose
-    values are a fixed tuple or a function of the grid.
+    An axis is a grid key ("n" runs over 0..max_n, any other key over its
+    tuple of values) or a pair (name, values) whose values are a fixed
+    tuple or a function of the grid.
     """
     if isinstance(axis, str):
-        key = _RANGES.get(axis)
-        return axis, grid[axis] if key is None else range(grid[key] + 1)
+        return axis, range(grid["max_n"] + 1) if axis == "n" else grid[axis]
     name, values = axis
     return name, values(grid) if callable(values) else values
 

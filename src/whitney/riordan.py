@@ -173,8 +173,6 @@ class OrdRiordan:
         if len(self.f) < 2 or self.f[1] == 0:
             raise NotInvertible("f must have a nonzero linear term")
         n = self.order
-        if n < 1:
-            raise OrderExceeded("array truncated too low for a Z-sequence")
         inv_g = Egf.from_ordinary(self.g).inv().ordinary()
         w = [-self.g[0] * c for c in inv_g]
         w[0] += 1  # w = 1 - g(0)/g, vanishes at 0
@@ -223,6 +221,11 @@ def whitney2_array(m: int, r, order: int) -> ExpRiordan:
     """<e^{rt}, (e^{mt} - 1)/m>: the second-kind triangle as a Riordan array."""
     qformat.count(m, "m", 1)
     return ExpRiordan(Egf.exp_linear(r, order), expm1_scaled(m, order))
+
+
+def _dowling_egf(m: int, r, u, order: int) -> Egf:
+    """exp(rt + u(e^{mt} - 1)/m): its EGF coefficient n is D_n(u)."""
+    return (Egf([0, r] + [0] * (order - 1)) + u * expm1_scaled(m, order)).exp()
 
 
 def whitney1_array(m: int, r, order: int) -> ExpRiordan:

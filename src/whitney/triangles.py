@@ -104,15 +104,11 @@ def _polys(kind, m, r, n):
     return polys
 
 
-def _row(kind, m, r, n) -> tuple:
-    return _rows(kind, m, r, count(n, "n"))[n]
-
-
 # -- second kind ------------------------------------------------------
 
 
 def whitney2_row(m: int, r, n: int) -> list:
-    return list(_row("whitney2", m, r, n))
+    return list(_rows("whitney2", m, r, count(n, "n"))[n])
 
 
 def whitney2_row_egf(m: int, r, n: int) -> list:
@@ -125,7 +121,7 @@ def whitney2_row_egf(m: int, r, n: int) -> list:
 
 
 def whitney1_row(m: int, r, n: int) -> list:
-    return list(_row("whitney1", m, r, n))
+    return list(_rows("whitney1", m, r, count(n, "n"))[n])
 
 
 def whitney1_row_egf(m: int, r, n: int) -> list:

@@ -221,10 +221,45 @@ def test_the_connection_route_reads_its_source(monkeypatch):
 
 
 def test_the_entrywise_side_reads_missing_coefficients_as_zero():
-    # row n of W has n + 1 entries; a side of another degree is cut or padded to it
+    # row n of W has n + 1 entries; the shorter side is padded, never cut
     row = [9, 8, 1]  # W(2, k) at m = 2, r = 3
     assert identities._sides(2, 3, 2, Poly([1, 2]), True) == (row, [1, 2, 0])
-    assert identities._sides(2, 3, 2, Poly([1, 2, 3, 4]), True) == (row, [1, 2, 3])
+    assert identities._sides(2, 3, 2, Poly([1, 2, 3, 4]), True) == ([9, 8, 1, 0], [1, 2, 3, 4])
+
+
+def _stray(p, n):
+    """p plus x^(n+1): one coefficient past row n of W."""
+    return p + Poly([0] * (n + 1) + [1])
+
+
+# entrywise twin -> (the printed sum it reads, that sum with a stray term
+# past the row it is compared with, the rendered sides at the first point)
+STRAY_SUMS = {
+    "whitney-convolution": (
+        "_spivey_sums",
+        lambda f: lambda m, r, n, max_h: tuple(
+            _stray(p, n + h) for h, p in enumerate(f(m, r, n, max_h))),
+        {"m": 1, "r": 1, "n": 0, "h": 0}, ["1", "0"], ["1", "1"]),
+    "whitney-recurrence": (
+        "_recurrence_sum",
+        lambda f: lambda m, r, n: _stray(f(m, r, n), n + 1),
+        {"m": 1, "r": 1, "n": 0}, ["1", "1", "0"], ["1", "1", "1"]),
+    "whitney-r-shift": (
+        "_shift_sum",
+        lambda f: lambda m, s, r, n: _stray(f(m, s, r, n), n),
+        {"m": 1, "r": 1, "s": 0, "n": 0}, ["1", "0"], ["1", "1"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRAY_SUMS))
+def test_an_entrywise_twin_fails_on_a_stray_coefficient(monkeypatch, name):
+    # the entrywise side must read a coefficient past degree n, or the twin
+    # passes where its polynomial twin fails
+    kernel, plant, params, lhs, rhs = STRAY_SUMS[name]
+    monkeypatch.setattr(identities, kernel, plant(getattr(identities, kernel)))
+    rep = run_check(name, {"max_n": 2, "m": (1,), "r": (1,)})
+    assert rep.status == "fail" and rep.grid_size == 1
+    assert rep.counterexample == {"params": params, "lhs": lhs, "rhs": rhs}
 
 
 def test_sheffer_binomial_rendered_sides():

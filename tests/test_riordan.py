@@ -8,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_helpers import bernoulli_recurrence, csv_rows, falling_integral
-from whitney.errors import BadParameter, NotInvertible, NotSolvable, OrderExceeded
-from whitney.grammar import whitney_grammar
+from whitney.errors import (
+    BadConstantTerm,
+    BadParameter,
+    NotInvertible,
+    NotSolvable,
+    OrderExceeded,
+)
+from whitney.grammar import whitney_grammar, whitney_row_from_grammar
 from whitney.operators import shift_op
 from whitney.poly import Poly
 from whitney.qformat import write
@@ -235,6 +241,37 @@ def test_z_sequence_column_recurrence():
 def test_z_sequence_needs_nonzero_g0():
     with pytest.raises(NotSolvable):
         OrdRiordan([0, 1, 1], [0, 1, 0]).z_sequence(1)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: whitney2_array(1, 0, 3).column(4), OrderExceeded),
+    (lambda: whitney2_array(1, 0, 3).a_sequence(3), OrderExceeded),  # t/fbar has order 2
+    (lambda: OrdRiordan([], [0, 1]), ValueError),
+    (lambda: OrdRiordan([1, 1], [1, 1]), NotInvertible),  # f(0) != 0
+    (lambda: OrdRiordan([1, 1, 1], [0, 1, 1]).entry(3, 0), OrderExceeded),
+    (lambda: OrdRiordan([1, 1, 1], [0, 0, 1]).z_sequence(), NotInvertible),  # f_1 = 0
+    (lambda: OrdRiordan([1, 1, 1], [0, 1, 1]).z_sequence(2), OrderExceeded),
+    (lambda: sheffer_polys(Egf.one(3), Egf.t(3), 4), OrderExceeded),
+    (lambda: Egf(()), ValueError),
+    (lambda: Egf([1, 1]).shift_down(), BadConstantTerm),
+    (lambda: Egf([0]).shift_down(), OrderExceeded),
+    (lambda: whitney_row_from_grammar(2, -1, 3), BadParameter),
+])
+def test_refusals_past_the_order_or_off_the_domain(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_ord_entry_above_the_diagonal_is_zero():
+    assert OrdRiordan([1, 1, 1], [0, 1, 1]).entry(1, 2) == 0
+
+
+def test_exp_arrays_are_equal_up_to_the_common_order():
+    assert whitney2_array(2, 3, 8) == whitney2_array(2, 3, 5)
+    assert whitney2_array(2, 3, 8) != whitney2_array(2, 2, 8)
+    assert whitney2_array(2, 3, 8) != object()
+    with pytest.raises(TypeError):
+        hash(whitney2_array(2, 3, 5))
 
 
 def test_seq_az_pairs_both_conventions():
