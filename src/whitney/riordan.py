@@ -18,7 +18,9 @@ is only defined on its own array class.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
+from operator import mul
 
 from . import qformat
 from .errors import NotInvertible, NotSolvable, OrderExceeded
@@ -230,9 +232,19 @@ def _dowling_egf(m: int, r, u, order: int) -> Egf:
 
 def whitney1_array(m: int, r, order: int) -> ExpRiordan:
     """<(1+mt)^{-r/m}, ln(1+mt)/m>: the first-kind triangle; its (g, f) is
-    also the Sheffer pair of the Dowling family."""
+    also the Sheffer pair of the Dowling family.
+
+    g is built from its own EGF coefficients g_n = (-r)(-r-m)...(-r-(n-1)m),
+    not through a series power: for r = p/q, q^n g_n is the integer
+    (-p)(-p-mq)...(-p-(n-1)mq), so g is those integers times q^(N-n) over
+    q^N at order N.
+    """
     qformat.count(m, "m", 1)
-    g = Egf.one_plus_ct(m, order).pow(Fraction(-exact(r), m))
+    qformat.count(order, "order")
+    r = exact(r)
+    p, q = r.numerator, r.denominator
+    nums = accumulate((-p - i * m * q for i in range(order)), mul, initial=1)
+    g = Egf._make([x * q ** (order - n) for n, x in enumerate(nums)], q ** order)
     return ExpRiordan(g, log1p_scaled(m, order))
 
 

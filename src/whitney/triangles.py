@@ -27,6 +27,7 @@ each, beside the row store, up to the degree asked for.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, lcm
 
 from .errors import WhitneyError
@@ -160,8 +161,9 @@ def dowling_inverse_poly(m: int, r, n: int) -> Poly:
     return _polys("whitney1", m, r, n)[n]
 
 
-# The longest Bernoulli and Euler tuples computed so far.  Truncation
-# commutes with inv, so every shorter request is served as a slice.
+# The longest Bernoulli and Euler tuples computed so far.  Each is exact
+# term by term, so a longer build's prefix equals a shorter build, and
+# every shorter request is served as a slice.
 _PREFIXES = {}
 
 
@@ -173,16 +175,53 @@ def _prefix(name, n, build):
     return have[: n + 1]
 
 
+def _tangent_numbers(n):
+    """T_1..T_n, T_k = tan^(2k-1)(0), by Brent and Harvey's in-place
+    TangentNumbers recurrence: small-by-big integer products only."""
+    t = [0, 1][: n + 1] + [0] * (n - 1)  # t[k] is T_k; t[0] is unused
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
 def bernoulli_numbers(n: int) -> list:
-    """B_0..B_n from the series t/(e^t - 1); B_1 = -1/2 in this convention."""
-    return list(_prefix(
-        "bernoulli", n, lambda n: (Egf.exp_linear(1, n + 1) - Egf.one(n + 1)).shift_down().inv().a))
+    """B_0..B_n of t/(e^t - 1), so B_1 = -1/2, from the tangent numbers:
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) and B_odd = 0 from B_3 on
+    (Brent and Harvey, "Fast computation of Bernoulli, Tangent and Secant
+    numbers", 2013)."""
+    def build(n):
+        out = [Fraction(1), Fraction(-1, 2)]
+        for k, t in enumerate(_tangent_numbers(n // 2), 1):
+            out += [Fraction((-1) ** (k - 1) * 2 * k * t, 4 ** k * (4 ** k - 1)), Fraction(0)]
+        return tuple(out[: n + 1])
+    return list(_prefix("bernoulli", n, build))
+
+
+def _zigzag(n):
+    """A_0..A_n, the zigzag numbers (n! [t^n] of sec t + tan t), from
+    Seidel's boustrophedon: row i is the running sums, from 0, of row i - 1
+    reversed, and ends with A_i."""
+    row, out = [1], [1]
+    for _ in range(n):
+        row = list(accumulate(reversed(row), initial=0))
+        out.append(row[-1])
+    return out
 
 
 def euler_zero_values(n: int) -> list:
-    """Values E_0(0)..E_n(0) from the series 2/(e^t + 1)."""
-    return list(_prefix(
-        "euler", n, lambda n: (Fraction(1, 2) * (Egf.exp_linear(1, n) + Egf.one(n))).inv().a))
+    """E_0(0)..E_n(0), the coefficients of 2/(e^t + 1) = 1 - tanh(t/2):
+    E_0(0) = 1, E_2k(0) = 0 for k >= 1 and E_(2k-1)(0) = (-1)^k A_(2k-1) /
+    2^(2k-1), from the zigzag numbers of Seidel's boustrophedon (Millar,
+    Sloane and Young, "A new operation on sequences: the boustrophedon
+    transform", J. Combin. Theory A 76, 1996)."""
+    def build(n):
+        return (Fraction(1),) + tuple(
+            Fraction((-1) ** ((j + 1) // 2) * a, 2 ** j) if j % 2 else Fraction(0)
+            for j, a in enumerate(_zigzag(n)[1:], 1))
+    return list(_prefix("euler", n, build))
 
 
 def _appell_row(nums, n):

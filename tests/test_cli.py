@@ -5,6 +5,7 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,6 @@ from whitney import cli, registry, triangles
 from whitney.registry import CheckReport
 from whitney.poly import stepped_product
 from whitney.qformat import canonical, parse_rat, rat_str, write
-from whitney.series import Egf
 from whitney.triangles import whitney1_row
 
 
@@ -128,15 +128,20 @@ def test_poly_bernoulli(capsys):
     assert out.splitlines()[2] == "1/6,-1,1"
 
 
-@pytest.mark.parametrize("kind", ["bernoulli", "euler"])
-def test_poly_inverts_its_numbers_once(capsys, monkeypatch, kind):
-    # every lower degree is served from the top degree's prefix
-    orders, real_inv = [], Egf.inv
+@pytest.mark.parametrize(
+    "kind, kernel, size", [("bernoulli", "_tangent_numbers", 6), ("euler", "_zigzag", 12)], ids=["bernoulli", "euler"]
+)
+def test_poly_builds_its_numbers_once(capsys, monkeypatch, kind, kernel, size):
+    # every lower degree is served from the top degree's prefix, and each
+    # family runs only its own integer kernel
+    calls = {"_tangent_numbers": [], "_zigzag": []}
     monkeypatch.setattr(triangles, "_PREFIXES", {})
-    monkeypatch.setattr(Egf, "inv", lambda self: orders.append(self.order) or real_inv(self))
+    for name, sizes in calls.items():
+        real = getattr(triangles, name)
+        monkeypatch.setattr(triangles, name, lambda n, real=real, sizes=sizes: sizes.append(n) or real(n))
     code, out, _ = run_cli(capsys, "poly", kind, "--n", "12", "--format", "csv")
     assert code == 0 and len(out.splitlines()) == 13
-    assert orders == [12]
+    assert calls == {"_tangent_numbers": [], "_zigzag": [], kernel: [size]}
 
 
 def test_series_json(capsys):
@@ -144,6 +149,37 @@ def test_series_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data == {"order": 4, "egf_coeffs": ["1", "-1/2", "1/6", "0", "-1/30"]}
+
+
+# a prime above every prime that divides a denominator through order 1000:
+# those of B_n are at most n + 1 (von Staudt-Clausen), those of E_n(0) are 2
+_P = 2 ** 127 - 1
+
+
+def _pascal_rows_mod(n):
+    row = [1]
+    for _ in range(n + 1):
+        yield row
+        row = [(x + y) % _P for x, y in zip(row + [0], [0] + row)]
+
+
+@pytest.mark.parametrize("kind", ["bernoulli-numbers", "euler-zero-values"])
+def test_series_classical_numbers_at_order_1000(capsys, monkeypatch, kind):
+    monkeypatch.setattr(triangles, "_PREFIXES", {})
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "series", kind, "--order", "1000", "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and elapsed < 0.5
+    values = [Fraction(v) for v in json.loads(out)["egf_coeffs"]]
+    assert len(values) == 1001
+    # the identities in residues mod _P: exact sums of 1001 terms of up
+    # to a few thousand digits would take seconds
+    v = [x.numerator * pow(x.denominator, -1, _P) % _P for x in values]
+    for i, row in enumerate(_pascal_rows_mod(1001)):  # row i is C(i, 0..i) mod _P
+        if kind == "bernoulli-numbers" and i >= 2:  # sum_{j<i} C(i, j) B_j = 0
+            assert sum(map(mul, row[:i], v)) % _P == 0, i
+        elif kind == "euler-zero-values" and i <= 1000:  # (e^t + 1) E(t) = 2
+            assert (sum(map(mul, row, v)) + v[i]) % _P == (2 if i == 0 else 0), i
 
 
 def test_series_column(capsys):

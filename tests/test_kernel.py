@@ -2,8 +2,10 @@
 inv/exp/log recurrence, checked against sums written out here, at low
 order and at the high orders where a binomial row that goes wrong late
 would show; Newton reversion, checked against the Lagrange route; the
-canonical form of a series; and the exactness and parameter gates that
-every stored coefficient and every series parameter passes."""
+integer kernels of the Bernoulli numbers, the Euler values and the
+first-kind g, checked against the series inverses and powers they
+replaced; the canonical form of a series; and the exactness and parameter
+gates that every stored coefficient and every series parameter passes."""
 
 import io
 import json
@@ -14,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitney import series
-from whitney.errors import BadParameter, WhitneyError
+from whitney import series, triangles
+from whitney.errors import BadParameter, NotInvertible, WhitneyError
 from whitney.grammar import whitney_row_from_grammar
 from whitney.operators import binomial_power_op, forward_difference_op, scaled_log_op, shift_op
 from whitney.poly import Poly, _convolve, stepped_product
@@ -236,6 +238,55 @@ def test_euler_zero_values_at_high_order():
     e = euler_zero_values(251)
     for n in range(252):  # (e^t + 1) E(t) = 2
         assert sum(comb(n, j) * e[j] for j in range(n + 1)) + e[n] == (2 if n == 0 else 0), n
+
+
+def series_bernoulli(n):
+    """B_0..B_n by inverting (e^t - 1)/t: the series route, kept as the oracle."""
+    return list((Egf.exp_linear(1, n + 1) - Egf.one(n + 1)).shift_down().inv().a)
+
+
+def series_euler(n):
+    """E_0(0)..E_n(0) by inverting (e^t + 1)/2, as for series_bernoulli."""
+    return list((Fraction(1, 2) * (Egf.exp_linear(1, n) + Egf.one(n))).inv().a)
+
+
+@pytest.mark.parametrize("numbers, oracle", [(bernoulli_numbers, series_bernoulli), (euler_zero_values, series_euler)],
+                         ids=["bernoulli", "euler"])
+def test_integer_kernels_are_the_series_inverses(monkeypatch, numbers, oracle):
+    # a fresh build at every n, so no value is served from a longer prefix
+    for n in range(151):
+        monkeypatch.setattr(triangles, "_PREFIXES", {})
+        got, want = numbers(n), oracle(n)
+        assert got == want and list(map(type, got)) == list(map(type, want)), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(-9, 9), st.integers(1, 9), st.integers(1, 40))
+def test_first_kind_g_is_the_series_power(m, p, q, order):
+    g = whitney1_array(m, Fraction(p, q), order).g
+    want = Egf.one_plus_ct(m, order).pow(Fraction(-p, q * m))
+    assert g == want
+
+
+@pytest.mark.parametrize(
+    "args, error, says",
+    [
+        ((0, Fraction(1, 2), -1), BadParameter, "m must"),
+        ((True, 1, 3), BadParameter, "m must"),
+        ((2.0, 1, 3), BadParameter, "m must"),
+        ((2, Fraction(1, 2), -1), BadParameter, "order must"),
+        ((2, 0.5, -1), BadParameter, "order must"),
+        ((2, 0.5, True), BadParameter, "order must"),
+        ((2, 1, 2.0), BadParameter, "order must"),
+        ((2, 0.5, 3), ValueError, "exact rational"),
+        ((2, True, 3), ValueError, "exact rational"),
+        ((2, 0.5, 0), ValueError, "exact rational"),
+        ((2, 1, 0), NotInvertible, "nonzero linear term"),
+    ],
+)
+def test_first_kind_array_gates_m_then_order_then_r(args, error, says):
+    with pytest.raises(error, match=says):
+        whitney1_array(*args)
 
 
 def test_inv_exp_log_at_high_order():
