@@ -21,7 +21,6 @@ from .errors import (
     BadParameter,
     InstanceTooLarge,
     NotInvertible,
-    NotSolvable,
     OrderExceeded,
     SeriesTooShort,
     StrayMonomial,
@@ -49,11 +48,8 @@ from .poly import Poly, falling_basis_expand, from_falling_basis, stepped_produc
 from .registry import CheckReport, registry_names, run_all, run_check
 from .riordan import (
     ExpRiordan,
-    OrdRiordan,
-    SeqAZ,
     connection_constants,
     identity_array,
-    seq_az,
     sheffer_polys,
     whitney1_array,
     whitney2_array,

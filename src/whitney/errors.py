@@ -17,10 +17,6 @@ class NotInvertible(WhitneyError):
     """The series or array has no inverse of the requested kind."""
 
 
-class NotSolvable(WhitneyError):
-    """No Z-sequence exists: the column-0 generating function vanishes at 0."""
-
-
 class StrayMonomial(WhitneyError):
     """A grammar derivative produced a term outside the expected shape."""
 

@@ -67,6 +67,8 @@ class XYPoly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "XYPoly") -> "XYPoly":
+        if not isinstance(other, XYPoly):
+            return NotImplemented
         d = dict(self.terms)
         for key, c in other.terms.items():
             d[key] = d.get(key, 0) + c

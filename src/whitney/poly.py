@@ -14,10 +14,10 @@ A ``Poly`` lists its numerators by ascending power of x, with no trailing
 zero.  ``coeffs`` is its view, each coefficient canonical: an ``int`` when
 integral, else a ``Fraction``; a tuple of ints is its own numerators, not a
 copy.  ``_convolve`` is the integer product of ordinary coefficient
-sequences under ``Poly``, ``OrdRiordan`` and one of the two forms of the
-``Egf`` product; ``lincomb``, the sum of scaled polynomials that the
-identity evaluators and the derivative-series operators build their sides
-with, adds plain ints read off each term's pair.
+sequences under ``Poly`` and one of the two forms of the ``Egf`` product;
+``lincomb``, the sum of scaled polynomials that the identity evaluators
+and the derivative-series operators build their sides with, adds plain
+ints read off each term's pair.
 """
 
 from fractions import Fraction

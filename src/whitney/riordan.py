@@ -1,19 +1,9 @@
 """Exponential Riordan arrays, their group operations, and row recurrences.
 
-Conventions (kept strictly apart):
-
-* :class:`ExpRiordan` is the exponential array <g, f> with entries
-  (n!/k!) [t^n] g f^k.  Its A-sequence, returned by
-  :meth:`ExpRiordan.a_sequence`, consists of the EGF coefficients of
-  t / fbar(t), fbar the compositional inverse of f.
-* :class:`OrdRiordan` is the ordinary array (g, f) with entries
-  [z^n] g f^k, its columns kept as integer numerators over one
-  denominator.  Its Z-sequence, ordinary-normalized, characterizes column
-  0 through d(n+1,0) = sum_j z_j d(n,j) and solves
-  g = g(0) / (1 - z Z(f)).
-
-Mixing the two normalizations is a type error at this API: each sequence
-is only defined on its own array class.
+:class:`ExpRiordan` is the exponential array <g, f> with entries
+(n!/k!) [t^n] g f^k.  Its A-sequence, returned by
+:meth:`ExpRiordan.a_sequence`, consists of the EGF coefficients of
+t / fbar(t), fbar the compositional inverse of f.
 """
 
 from dataclasses import dataclass, field
@@ -23,8 +13,8 @@ from math import lcm
 from operator import mul
 
 from . import qformat
-from .errors import NotInvertible, NotSolvable, OrderExceeded
-from .poly import Poly, _cleared, _convolve
+from .errors import NotInvertible, OrderExceeded
+from .poly import Poly
 from .qformat import exact
 from .series import Egf, expm1_scaled, log1p_scaled
 
@@ -107,10 +97,6 @@ class ExpRiordan:
             raise OrderExceeded("A-sequence available only through index %d" % a.order)
         return list(a.a[: j_max + 1])
 
-    def to_ordinary(self) -> "OrdRiordan":
-        """Reinterpret g and f as ordinary generating functions."""
-        return OrdRiordan(self.g.ordinary(), self.f.ordinary())
-
     def __eq__(self, other):
         if isinstance(other, ExpRiordan):
             n = min(self.order, other.order)
@@ -118,101 +104,6 @@ class ExpRiordan:
                 n
             ) == other.f.truncate(n)
         return NotImplemented
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class OrdRiordan:
-    """Ordinary Riordan array (g, f) with entries [z^n] g f^k."""
-
-    g: tuple
-    f: tuple
-    # f, and column k = g f^k for each k built so far, as integer
-    # numerators over one denominator
-    _f: tuple = field(init=False, repr=False)
-    _cols: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        g = tuple(Fraction(exact(c)) for c in self.g)
-        f = tuple(Fraction(exact(c)) for c in self.f)
-        if not g or not f:
-            raise ValueError("empty coefficient sequence")
-        if f[0] != 0:
-            raise NotInvertible("f must vanish at 0")
-        n = min(len(g), len(f))
-        object.__setattr__(self, "g", g[:n])
-        object.__setattr__(self, "f", f[:n])
-        object.__setattr__(self, "_f", _cleared(f[:n]))
-        object.__setattr__(self, "_cols", {0: _cleared(g[:n])})
-
-    @property
-    def order(self) -> int:
-        return len(self.g) - 1
-
-    def _col(self, k: int) -> tuple:
-        # column k is column k - 1 times f, built in turn as in ExpRiordan
-        cols, (fn, fd) = self._cols, self._f
-        for j in range(len(cols), k + 1):
-            nums, d = cols[j - 1]
-            cols[j] = _convolve(nums, fn, self.order), d * fd
-        return cols[k]
-
-    def entry(self, n: int, k: int) -> Fraction:
-        if qformat.count(n, "n") > self.order or qformat.count(k, "k") > self.order:
-            raise OrderExceeded("entry (%d,%d) beyond order %d" % (n, k, self.order))
-        if k > n:
-            return Fraction(0)
-        nums, d = self._col(k)
-        return Fraction(nums[n], d)
-
-    def z_sequence(self, j_max: int = None) -> list:
-        """Ordinary coefficients of the Z-sequence solving g = g(0)/(1 - z Z(f)).
-
-        Needs g(0) != 0; f must be reversible.  The column-0 recurrence
-        d(n+1,0) = sum_j z_j d(n,j) then holds for the ordinary entries.
-        """
-        if self.g[0] == 0:
-            raise NotSolvable("Z-sequence needs g(0) != 0")
-        if len(self.f) < 2 or self.f[1] == 0:
-            raise NotInvertible("f must have a nonzero linear term")
-        n = self.order
-        inv_g = Egf.from_ordinary(self.g).inv().ordinary()
-        w = [-self.g[0] * c for c in inv_g]
-        w[0] += 1  # w = 1 - g(0)/g, vanishes at 0
-        hz = w[1:]  # (1 - g(0)/g) / z
-        fbar = Egf.from_ordinary(self.f).reverse()
-        z = Egf.from_ordinary(hz).compose(fbar).ordinary()
-        if j_max is None:
-            j_max = n - 1
-        if qformat.count(j_max, "j_max") > n - 1:
-            raise OrderExceeded("Z-sequence available only through index %d" % (n - 1))
-        return list(z[: j_max + 1])
-
-
-@dataclass(frozen=True)
-class SeqAZ:
-    """The two row-recurrence sequences of one array, conventions labeled.
-
-    ``a`` is EGF-normalized and belongs to the exponential array; ``z`` is
-    ordinary-normalized and belongs to the ordinary reinterpretation of
-    the same (g, f).  a[0] is never zero.
-    """
-
-    a: tuple
-    z: tuple
-
-    def __post_init__(self):
-        if not self.a or self.a[0] == 0:
-            raise NotInvertible("an A-sequence starts with a nonzero term")
-
-
-def seq_az(array: ExpRiordan, j_max: int = None) -> SeqAZ:
-    """Both characteristic sequences of an exponential array."""
-    if j_max is None:
-        j_max = array.order - 1
-    return SeqAZ(
-        tuple(array.a_sequence(j_max)),
-        tuple(array.to_ordinary().z_sequence(j_max)),
-    )
 
 
 def identity_array(order: int) -> ExpRiordan:

@@ -176,10 +176,6 @@ class Egf(_Pair):
         c, order = exact(c), count(order, "order")
         return cls([1, c][: order + 1] + [0] * (order - 1))
 
-    @classmethod
-    def from_ordinary(cls, coeffs) -> "Egf":
-        return cls(c * factorial(i) for i, c in enumerate(coeffs))
-
     # -- basics -------------------------------------------------------
 
     @property
@@ -202,9 +198,6 @@ class Egf(_Pair):
         a = self._v
         return a[n] if a is not None else Fraction(self._n[n], self._d)
 
-    def ordinary(self) -> tuple:
-        return tuple(Fraction(x, self._d * factorial(i)) for i, x in enumerate(self._n))
-
     def truncate(self, order: int) -> "Egf":
         if count(order, "order") > self.order:
             raise OrderExceeded("cannot extend order %d to %d" % (self.order, order))
@@ -224,9 +217,13 @@ class Egf(_Pair):
         return Egf._make([x * s + y * t for x, y in zip(self._n, other._n)], d)
 
     def __add__(self, other: "Egf") -> "Egf":
+        if not isinstance(other, Egf):
+            return NotImplemented
         return self._plus(other, 1)
 
     def __sub__(self, other: "Egf") -> "Egf":
+        if not isinstance(other, Egf):
+            return NotImplemented
         return self._plus(other, -1)
 
     def __mul__(self, other):

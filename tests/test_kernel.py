@@ -23,7 +23,7 @@ from whitney.operators import binomial_power_op, forward_difference_op, scaled_l
 from whitney.poly import Poly, _convolve, stepped_product
 from whitney.qformat import parse_rat, write
 from whitney.registry import run_check
-from whitney.riordan import OrdRiordan, seq_az, sheffer_polys, whitney1_array, whitney2_array
+from whitney.riordan import sheffer_polys, whitney1_array, whitney2_array
 from whitney.series import Egf, expm1_scaled, log1p_scaled
 from whitney.triangles import (
     bernoulli_numbers,
@@ -141,7 +141,6 @@ def test_equal_series_built_by_different_routes_are_equal_and_hash_equal(m, orde
         expm1_scaled(m, order),
         Fraction(1, m) * (Egf.exp_linear(m, order) - Egf.one(order)),
         Egf([0] + [m ** (k - 1) for k in range(1, order + 1)]),
-        Egf.from_ordinary(Egf([0] + [Fraction(m ** (k - 1)) for k in range(1, order + 1)]).ordinary()),
         _json_round_trip(expm1_scaled(m, order + 3).truncate(order)),
     ]
     assert all(r == routes[0] and hash(r) == hash(routes[0]) for r in routes)
@@ -330,7 +329,6 @@ def test_newton_reverse_at_every_order(order):
         lambda: Poly([0.5]),
         lambda: Poly([True]),
         lambda: Poly([1, 2]) * 0.5,
-        lambda: OrdRiordan([1], [0, 0.5]),
         lambda: stepped_product(2, True),
         lambda: stepped_product(2, 0.5),
     ],
@@ -339,7 +337,7 @@ def test_newton_reverse_at_every_order(order):
         "egf-exp-linear-bool", "egf-bool", "egf-pow-float", "egf-pow-bool", "egf-one-plus-ct-float-order0",
         "whitney1-row-egf-float", "whitney1-row-egf-float-n0", "whitney1-array-float", "whitney2-row-egf-float",
         "whitney2-row-egf-bool", "expm1-bool", "log1p-float", "log1p-bool", "poly-float", "poly-bool",
-        "poly-times-float", "ord-riordan-float", "stepped-product-bool-step", "stepped-product-float-step",
+        "poly-times-float", "stepped-product-bool-step", "stepped-product-float-step",
     ],
 )
 def test_inexact_coefficients_are_refused(build):
@@ -377,8 +375,6 @@ def test_inexact_coefficients_are_refused(build):
         lambda: expm1_scaled(2, 5).coeff(-1),
         lambda: expm1_scaled(2, 5).coeff(1.5),
         lambda: whitney2_array(2, 1, 4).a_sequence(-1),
-        lambda: OrdRiordan([1, 1, 1], [0, 1, 1]).z_sequence(-1),
-        lambda: seq_az(whitney2_array(2, 1, 4), -1),
         lambda: sheffer_polys(Egf.one(4), Egf.t(4), 1.5),
         lambda: sheffer_polys(Egf.one(4), Egf.t(4), -1),
     ],
@@ -391,8 +387,7 @@ def test_inexact_coefficients_are_refused(build):
         "exp-linear-negative-order", "one-plus-ct-negative-order", "expm1-negative-order",
         "log1p-negative-order", "forward-difference-negative-order", "shift-op-negative-order",
         "egf-coeff-negative-index", "egf-coeff-float-index", "a-sequence-negative-index",
-        "z-sequence-negative-index", "seq-az-negative-index", "sheffer-polys-float-count",
-        "sheffer-polys-negative-count",
+        "sheffer-polys-float-count", "sheffer-polys-negative-count",
     ],
 )
 def test_bad_parameters_are_refused(build):

@@ -23,6 +23,7 @@ KEPT = {
     "grammar.XYPoly.zero": "the additive identity of an exported type",
     "series.Egf.zero": "the additive identity of an exported type",
     "series.Egf.reverse_lagrange": "the second reversion route, which checks Egf.reverse",
+    "riordan.ExpRiordan.a_sequence": "the A-sequence of an array, read by the benchmark's a_sequence job and the A-sequence tests",
 }
 
 

@@ -1,5 +1,7 @@
+import inspect
 import io
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -12,7 +14,6 @@ from whitney.errors import (
     BadConstantTerm,
     BadParameter,
     NotInvertible,
-    NotSolvable,
     OrderExceeded,
 )
 from whitney.grammar import whitney_grammar, whitney_row_from_grammar
@@ -21,18 +22,16 @@ from whitney.poly import Poly
 from whitney.qformat import write
 from whitney.riordan import (
     ExpRiordan,
-    OrdRiordan,
-    SeqAZ,
     _connection_arrays,
     connection_constants,
     identity_array,
-    seq_az,
     sheffer_polys,
     whitney1_array,
     whitney2_array,
 )
 from whitney.series import Egf, expm1_scaled, log1p_scaled
 from whitney.triangles import (
+    _rows,
     bernoulli_poly,
     dowling_poly,
     euler_poly,
@@ -70,11 +69,11 @@ def test_entry_bounds():
     lambda: whitney2_array(1, 0, 5).column(-1),
     lambda: whitney2_array(1, 0, 5).entry(3, True),
     lambda: whitney2_array(1, 0, 5).entry(3, 1.0),
-    lambda: OrdRiordan([1, 1, 1], [0, 1, 1]).entry(2, True),
-    lambda: OrdRiordan([1, 1, 1], [0, 1, 1]).entry(2, -1),
-    lambda: OrdRiordan([1, 2, 3], [0, 1, 1]).entry(True, 0),
-    lambda: OrdRiordan([1, 2, 3], [0, 1, 1]).entry(1.5, 1),
-    lambda: OrdRiordan([1, 2, 3], [0, 1, 1]).entry(-1, 0),
+    lambda: whitney2_array(1, 0, 5).column(1.5),
+    lambda: whitney2_array(1, 0, 5).column(Fraction(1)),
+    lambda: whitney2_array(1, 0, 5).entry(3, -1),
+    lambda: whitney2_array(1, 0, 5).a_sequence(True),
+    lambda: whitney2_array(1, 0, 5).a_sequence(1.5),
     lambda: whitney2_array(1, 0, 5).entry(True, 0),
     lambda: whitney2_array(1, 0, 5).entry(1.5, 1),
     lambda: whitney2_array(1, 0, 5).entry(-1, 0),
@@ -105,7 +104,6 @@ def test_constructor_validation():
         (whitney_grammar(2), "y_image"),
         (shift_op(1, 3), "series"),
         (identity_array(3), "g"),
-        (OrdRiordan([1, 1], [0, 1]), "f"),
     ],
 )
 def test_values_refuse_attribute_assignment(value, attr):
@@ -182,6 +180,12 @@ def test_a_sequence_worked_values():
     assert whitney1_array(2, 3, 6).a_sequence(2) == [1, -1, Fraction(2, 3)]
 
 
+def test_a_sequence_through_index_four():
+    w2 = whitney2_array(2, 3, 8)
+    assert w2.a_sequence(4) == [1, 1, Fraction(-2, 3), 2, Fraction(-152, 15)]
+    assert w2.a_sequence(4) == w2.a_sequence()[:5]
+
+
 def test_row_recurrences_hold_to_ten():
     from whitney.registry import run_check
 
@@ -190,7 +194,7 @@ def test_row_recurrences_hold_to_ten():
     assert run_check("az-recurrences-W1", overrides).status == "pass"
 
 
-# -- ordinary arrays and the Z-sequence -----------------------------------
+# -- export, refusals and equality -----------------------------------------
 
 
 def test_array_export_round_trip():
@@ -206,51 +210,14 @@ def test_array_export_round_trip():
     assert data["rows"][3] == ["-105", "71", "-15", "1"]
 
 
-def test_z_sequence_identity():
-    arr = OrdRiordan([1] + [0] * 8, [0, 1] + [0] * 7)
-    assert arr.z_sequence(5) == [0] * 6
-
-
-def test_z_sequence_pascal():
-    geom = [1] * 9
-    arr = OrdRiordan(geom, [0] + [1] * 8)  # (1/(1-z), z/(1-z))
-    assert arr.z_sequence(5) == [1, 0, 0, 0, 0, 0]
-
-
-def test_z_sequence_all_ones_column():
-    arr = OrdRiordan([1] * 9, [0, 1] + [0] * 7)  # (1/(1-z), z)
-    assert arr.z_sequence(5) == [1, 0, 0, 0, 0, 0]
-
-
-def test_z_sequence_column_recurrence():
-    rng = random.Random(29)
-    for _ in range(6):
-        g = [Fraction(rng.choice([1, 2, -1]))] + [
-            Fraction(rng.randint(-3, 3)) for _ in range(8)
-        ]
-        f = [Fraction(0), Fraction(rng.choice([1, -1, 2]))] + [
-            Fraction(rng.randint(-3, 3)) for _ in range(7)
-        ]
-        arr = OrdRiordan(g, f)
-        z = arr.z_sequence()
-        for n in range(arr.order - 1):
-            want = sum(z[j] * arr.entry(n, j) for j in range(n + 1))
-            assert arr.entry(n + 1, 0) == want
-
-
-def test_z_sequence_needs_nonzero_g0():
-    with pytest.raises(NotSolvable):
-        OrdRiordan([0, 1, 1], [0, 1, 0]).z_sequence(1)
-
-
 @pytest.mark.parametrize("call, error", [
     (lambda: whitney2_array(1, 0, 3).column(4), OrderExceeded),
     (lambda: whitney2_array(1, 0, 3).a_sequence(3), OrderExceeded),  # t/fbar has order 2
-    (lambda: OrdRiordan([], [0, 1]), ValueError),
-    (lambda: OrdRiordan([1, 1], [1, 1]), NotInvertible),  # f(0) != 0
-    (lambda: OrdRiordan([1, 1, 1], [0, 1, 1]).entry(3, 0), OrderExceeded),
-    (lambda: OrdRiordan([1, 1, 1], [0, 0, 1]).z_sequence(), NotInvertible),  # f_1 = 0
-    (lambda: OrdRiordan([1, 1, 1], [0, 1, 1]).z_sequence(2), OrderExceeded),
+    (lambda: Egf([1, 1]) * 0.5, ValueError),
+    (lambda: Egf([0]).reverse(), NotInvertible),  # no linear term to invert
+    (lambda: whitney2_array(1, 0, 3).entry(2, 4), OrderExceeded),  # k past the order
+    (lambda: Egf([1, 1]).reverse_lagrange(), NotInvertible),  # f(0) != 0
+    (lambda: whitney2_array(1, 0, 3).rows(4), OrderExceeded),
     (lambda: sheffer_polys(Egf.one(3), Egf.t(3), 4), OrderExceeded),
     (lambda: Egf(()), ValueError),
     (lambda: Egf([1, 1]).shift_down(), BadConstantTerm),
@@ -262,38 +229,12 @@ def test_refusals_past_the_order_or_off_the_domain(call, error):
         call()
 
 
-def test_ord_entry_above_the_diagonal_is_zero():
-    assert OrdRiordan([1, 1, 1], [0, 1, 1]).entry(1, 2) == 0
-
-
 def test_exp_arrays_are_equal_up_to_the_common_order():
     assert whitney2_array(2, 3, 8) == whitney2_array(2, 3, 5)
     assert whitney2_array(2, 3, 8) != whitney2_array(2, 2, 8)
     assert whitney2_array(2, 3, 8) != object()
     with pytest.raises(TypeError):
         hash(whitney2_array(2, 3, 5))
-
-
-def test_seq_az_pairs_both_conventions():
-    pair = seq_az(whitney2_array(2, 3, 8), 4)
-    assert isinstance(pair, SeqAZ)
-    assert pair.a == (1, 1, Fraction(-2, 3), 2, Fraction(-152, 15))
-    # z belongs to the ordinary reinterpretation of the same (g, f)
-    conv = whitney2_array(2, 3, 8).to_ordinary()
-    assert pair.z == tuple(conv.z_sequence(4))
-    with pytest.raises(NotInvertible):
-        SeqAZ((0, 1), (1,))
-
-
-def test_exponential_to_ordinary_conversion():
-    w2 = whitney2_array(2, 3, 8)
-    conv = w2.to_ordinary()
-    # same analytic g, f: ordinary coefficients are EGF coefficients / n!
-    assert conv.g[2] == Fraction(9, 2)
-    z = conv.z_sequence()
-    for n in range(conv.order - 1):
-        want = sum(z[j] * conv.entry(n, j) for j in range(n + 1))
-        assert conv.entry(n + 1, 0) == want
 
 
 # -- Sheffer families and connection constants -----------------------------
@@ -382,34 +323,20 @@ def test_arrays_gate_m_as_the_row_store_does(build, m):
         build(m, 1, 3)
 
 
-def test_ord_columns_are_built_without_recursion():
-    # the columns used to recurse one frame per k, past the recursion limit
-    assert OrdRiordan([1] + [0] * 1500, [0, 1] + [0] * 1499).entry(1500, 1500) == 1
-
-
-def ord_entry(g, f, n, k):
-    """[z^n] g f^k, f^k by k ordinary double sums."""
-    power = [1] + [0] * n
-    for _ in range(k):
-        power = [sum(power[i] * f[j - i] for i in range(j + 1)) for j in range(n + 1)]
-    return sum(g[i] * power[n - i] for i in range(n + 1))
+def test_columns_are_built_without_recursion():
+    # column k is stepped from column k - 1 in a loop, so a high column
+    # needs no stack frame per k below it
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        col = whitney2_array(1, 0, 100).column(60)
+    finally:
+        sys.setrecursionlimit(limit)
+    rows = _rows("whitney2", 1, 0, 100)
+    assert list(col.a) == [rows[n][60] if n >= 60 else 0 for n in range(101)]
 
 
 fracs = st.fractions(-5, 5, max_denominator=6)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 8).flatmap(lambda order: st.tuples(
-    st.lists(fracs, min_size=order + 1, max_size=order + 1),
-    st.lists(fracs, min_size=order, max_size=order))))
-def test_ord_entries_are_the_double_sum(gf):
-    g, f = gf[0], [0] + gf[1]
-    arr = OrdRiordan(g, f)
-    for n in range(len(g)):
-        for k in range(n + 1):
-            got = arr.entry(n, k)
-            assert type(got) is Fraction and got == ord_entry(g, f, n, k)
-
 
 
 @settings(max_examples=20, deadline=None)

@@ -154,11 +154,6 @@ def test_mixed_orders_truncate_to_min():
     assert (a + b).order == 1
 
 
-def test_ordinary_round_trip():
-    f = Egf([1, 2, 3, 4])
-    assert Egf.from_ordinary(f.ordinary()) == f
-
-
 def test_coeff_and_truncate_bounds():
     f = Egf([1, 2, 3])
     assert f.coeff(2) == 3
