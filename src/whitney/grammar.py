@@ -10,6 +10,7 @@ triangle row by row, which this module exposes directly.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from numbers import Number
 
 from .errors import BadParameter, StrayMonomial
 from .qformat import canonical, count, exact, rat_str
@@ -85,6 +86,8 @@ class XYPoly:
                     key = (a1 + a2, b1 + b2)
                     d[key] = d.get(key, 0) + c1 * c2
             return XYPoly._merged(d)
+        if not isinstance(other, Number):  # another algebra's value
+            return NotImplemented
         other = exact(other)
         return XYPoly._merged({key: c * other for key, c in self.terms.items()})
 

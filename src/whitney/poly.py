@@ -21,7 +21,8 @@ ints read off each term's pair.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
+from numbers import Number
 
 from .qformat import canonical, count, exact
 
@@ -190,6 +191,8 @@ class Poly(_Pair):
                 return Poly()
             return _make(_convolve(self._n, other._n, self.degree + other.degree),
                          self._d * other._d)
+        if not isinstance(other, Number):  # another algebra's value
+            return NotImplemented
         c = exact(other)
         return _make([c.numerator * v for v in self._n], self._d * c.denominator)
 
@@ -269,13 +272,9 @@ def falling_basis_expand(p: Poly) -> list:
         return [Fraction(0)]
     vals = [Fraction(p(i)) for i in range(p.degree + 1)]
     out = []
-    kfact = 1
-    k = 0
     while vals:
-        out.append(vals[0] / kfact)
+        out.append(vals[0] / factorial(len(out)))
         vals = [b - a for a, b in zip(vals, vals[1:])]
-        k += 1
-        kfact *= k
     return out
 
 

@@ -26,10 +26,10 @@ lengths.  :meth:`Egf.inv`, :meth:`Egf.exp` and :meth:`Egf.log` run one
 lower-triangular recurrence, ``_triangular``, whose inner sums are plain
 integers over one running denominator, with binomials read from one Pascal
 row stepped per output; :meth:`Egf.inv` is the only reciprocal.
-:meth:`Egf.compose` runs Horner's rule with the product.
+:meth:`Egf.compose` runs Horner's rule, with weighted inner rows built once.
 
 Reversion is implemented twice on purpose: :meth:`Egf.reverse` runs Newton
-iteration through :meth:`Egf.compose`, doubling its precision each round,
+iteration through :meth:`Egf.compose`, at precisions ceil(n / 2^i) up to n,
 and :meth:`Egf.reverse_lagrange` recomputes the inverse from the Lagrange
 coefficient formula through :meth:`Egf.inv` and powers.  The two share
 nothing but ``_product`` (and the canonical form every result is put in);
@@ -37,8 +37,9 @@ the second path exists solely to check the first.
 """
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import factorial, gcd, lcm, lgamma, log
+from numbers import Number
 from operator import add, mul
 
 from .errors import BadConstantTerm, NotInvertible, OrderExceeded
@@ -46,14 +47,14 @@ from .poly import _Pair, _cleared, _convolve, _reduced
 from .qformat import count, exact, rat_str
 
 
-def _binomial_sum(A, B, n):
-    """sum_k C(i,k) A_k B_{i-k} for i = 0..n; the binomials are one Pascal
-    row, stepped by one pass of additions per output."""
-    out, row = [], [1]
+def _weighted_rows(B, n):
+    """Rows i = 0..n, each an iterator read once, of the weights C(i,k)
+    B_{i-k}, k = 0..i, so that the binomial sum's output i is sum_k A_k w_k;
+    the binomials are one Pascal row, stepped by one pass of additions per row."""
+    row = [1]
     for i in range(n + 1):
-        out.append(sum(map(mul, map(mul, row, A), B[i::-1])))
+        yield map(mul, row, B[i::-1])
         row = list(map(add, row + [0], [0] + row))
-    return out
 
 
 def _ordinary_numerators(A, d, n):
@@ -71,9 +72,10 @@ def _ordinary_numerators(A, d, n):
     return [p * (L // q) for p, q in zip(nums, dens)], L
 
 
-def _product(A, da, B, db, n):
+def _product(A, da, B, db, n, rows=None):
     """EGF numerators and denominator, not yet reduced, of the product of
     A / da and B / db through order n; a missing coefficient reads as 0.
+    `rows`, if given, are B's ``_weighted_rows`` through n, else streamed.
 
     The form is picked by size.  The binomial sum multiplies A_k B_{n-k}
     by C(n,k), of up to n bits.  The ordinary form reduces each a_k / k!
@@ -96,7 +98,7 @@ def _product(A, da, B, db, n):
                 f *= i
                 out[i] *= f
             return out, la * lb
-    return _binomial_sum(A, B, n), da * db
+    return [sum(map(mul, A, w)) for w in islice(rows or _weighted_rows(B, n), n + 1)], da * db
 
 
 def _triangular(x, dx, u, du, d):
@@ -229,6 +231,8 @@ class Egf(_Pair):
     def __mul__(self, other):
         if isinstance(other, Egf):
             return self.mul(other)
+        if not isinstance(other, Number):  # another algebra's value
+            return NotImplemented
         c = exact(other)
         return Egf._make([x * c.numerator for x in self._n], self._d * c.denominator)
 
@@ -286,11 +290,12 @@ class Egf(_Pair):
         if inner._n[0]:
             raise BadConstantTerm("composition needs inner constant term 0")
         n = min(self.order, inner.order)
-        A, D = self._n, self._d
+        A, D, G = self._n, self._d, inner._n
         facts = list(accumulate(range(1, n + 1), mul, initial=1))
+        rows = [list(w) for w in _weighted_rows(G, n)]
         out, den = _reduced([A[n]], D * facts[n])
         for k in range(n - 1, -1, -1):
-            out, pd = _product(out, den, inner._n, inner._d, n - k)
+            out, pd = _product(out, den, G, inner._d, n - k, rows)
             q = D * facts[k]
             den = lcm(pd, q)
             out = [x * (den // pd) for x in out]
@@ -321,13 +326,13 @@ class Egf(_Pair):
         If G is right through order p, the step G <- G - (F(G) - t) G' is
         right through order 2p: G' stands in for 1/F'(G), which it equals
         to within order p - 1, so no reciprocal is needed.  The EGF
-        coefficients of G' are those of G shifted down by one.
+        coefficients of G' are those of G shifted down by one.  Precisions
+        run ceil(n / 2^i) up to n, so the last but one is about n/2.
         """
         self._check_reversible()
         n = self.order
-        g, p = Egf((0, 1 / self.coeff(1))), 1
-        while p < n:
-            p = min(2 * p, n)
+        g = Egf((0, 1 / self.coeff(1)))
+        for p in (-(-n >> i) for i in range((n - 1).bit_length() - 1, -1, -1)):
             g = Egf._make(g._n + (0,) * (p - g.order), g._d)
             err = self.truncate(p).compose(g)
             e = list(err._n)
@@ -366,8 +371,6 @@ def expm1_scaled(m, order: int) -> Egf:
 def log1p_scaled(m, order: int) -> Egf:
     """ln(1 + mt)/m: a_n = (-1)^(n-1) m^(n-1) (n-1)! for n >= 1."""
     m, out = exact(m), [0]
-    sign = 1
     for n in range(1, count(order, "order") + 1):
-        out.append(sign * m ** (n - 1) * factorial(n - 1))
-        sign = -sign
+        out.append((-m) ** (n - 1) * factorial(n - 1))
     return Egf(out)

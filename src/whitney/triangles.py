@@ -224,18 +224,14 @@ def euler_zero_values(n: int) -> list:
     return list(_prefix("euler", n, build))
 
 
-def _appell_row(nums, n):
-    """Coefficients of sum_k C(n,k) a_{n-k} x^k, from the numbers a_0..a_n."""
-    return tuple(comb(n, k) * nums[n - k] for k in range(n + 1))
-
-
 def _appell_polys(name, numbers, n):
-    """P_0..P_n of an Appell family, each built once from the numbers
-    a_0..a_n cleared to integers over one denominator."""
+    """P_0..P_n of an Appell family, P_j = sum_k C(j,k) a_{j-k} x^k, each
+    built once from the numbers a_0..a_n cleared to one denominator."""
     polys = _POLYS.setdefault(name, [])
     if len(polys) <= count(n, "n"):
         nums, d = _cleared(numbers(n))
-        polys.extend(_make(_appell_row(nums, j), d) for j in range(len(polys), n + 1))
+        polys.extend(_make([comb(j, k) * nums[j - k] for k in range(j + 1)], d)
+                     for j in range(len(polys), n + 1))
     return polys
 
 
@@ -320,9 +316,8 @@ def build_triangle(kind: str, m: int, r, n: int) -> Triangle:
     store, reads_r = _KINDS[kind]
     if store in _STEPS:
         rows = _rows(store, m, r if reads_r else 0, n)[: n + 1]
-    else:  # one read of the numbers serves every row: row j uses a_0..a_j
-        nums = _SEQUENCES[store](n)
-        rows = [_appell_row(nums, j) for j in range(n + 1)]
+    else:  # row j is the coefficients of the family's degree-j member
+        rows = [p.coeffs for p in _appell_polys(kind, _SEQUENCES[store], n)[: n + 1]]
     r = None if kind.startswith("mstirling") or r is None else canonical(r)
     return Triangle(kind, m, r, tuple(rows))
 

@@ -295,14 +295,41 @@ def test_inv_exp_log_at_high_order():
     assert list(Egf([1] + dense).log().a) == fraction_log([Fraction(1)] + dense)
 
 
-@pytest.mark.parametrize("order", range(1, 34))
+@pytest.mark.parametrize("order", range(1, 41))
 def test_newton_reverse_at_every_order(order):
-    # orders 1..33 cross the precision doublings at 2^k and 2^k +- 1
+    # orders 1..40 cross the powers of two and 2^k +- 1, where the chain
+    # of precisions ceil(n / 2^i) changes length
     f = Egf([0, Fraction(-3, 2), 2, Fraction(1, 3), -1, 5] + [Fraction(1, k) for k in range(1, order - 4)])
     f = f.truncate(order)
     rev = f.reverse()
     assert rev == f.reverse_lagrange()
     assert f.compose(rev) == Egf.t(order)
+
+
+def test_newton_runs_its_precisions_down_from_the_top(monkeypatch):
+    # ceil(37 / 2^i): the composition before the last is at 19, not at 32
+    orders = []
+    real = Egf.compose
+    monkeypatch.setattr(Egf, "compose", lambda f, g: orders.append(min(f.order, g.order)) or real(f, g))
+    expm1_scaled(3, 37).reverse()
+    assert orders == [2, 3, 5, 10, 19, 37]
+
+
+def test_compose_builds_each_weighted_inner_row_once(monkeypatch):
+    built = []
+    real = series._weighted_rows
+
+    def spy(B, n):
+        for row in real(B, n):
+            row = list(row)
+            built.append(len(row) - 1)
+            yield row
+
+    monkeypatch.setattr(series, "_weighted_rows", spy)
+    n = 40
+    got = Egf.exp_linear(2, n).compose(expm1_scaled(3, n))
+    assert built == list(range(n + 1))
+    assert got == (2 * expm1_scaled(3, n)).exp()  # exp(2 (e^{3t} - 1)/3)
 
 
 @pytest.mark.parametrize(

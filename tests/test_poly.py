@@ -134,9 +134,11 @@ def test_poly_and_egf_share_the_pair_layout_but_not_equality():
         assert hash(-(-v)) == hash(v)
         with pytest.raises(AttributeError, match="^%s is immutable$" % type(v).__name__):
             v._n = (1,)
-    # a sum takes only its own type, though Poly and Egf share the layout
+    # a sum or product takes only its own type or a scalar, though Poly and
+    # Egf share the layout
     for mixed in (lambda: Egf([1, 2]) - Poly([1]), lambda: Egf([1, 2]) + 1,
-                  lambda: XYPoly.monomial(1, 0) + 1):
+                  lambda: XYPoly.monomial(1, 0) + 1, lambda: Egf([1, 2]) * Poly([1]),
+                  lambda: Poly([1]) * Egf([1, 2]), lambda: XYPoly.monomial(1, 0) * Poly([1])):
         with pytest.raises(TypeError):
             mixed()
 

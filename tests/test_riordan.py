@@ -156,6 +156,12 @@ def test_inverse_of_second_kind_is_first_kind(m, r):
     assert w1.mul(w2).rows(10) == identity_array(10).rows(10)
 
 
+@pytest.mark.parametrize("order", [36, 37])
+@pytest.mark.parametrize("m, r", [(m, r) for m in (2, 3) for r in range(1, 5)])
+def test_inverse_of_second_kind_is_first_kind_at_the_benchmark_orders(m, r, order):
+    assert whitney2_array(m, r, order).inverse() == whitney1_array(m, r, order)
+
+
 def test_inverse_g_part_coefficient():
     inv = ExpRiordan(Egf.exp_linear(3, 8), expm1_scaled(2, 8)).inverse()
     assert inv.g.a[1] == -3  # (1+2t)^{-3/2} starts 1 - 3t + ...
