@@ -60,9 +60,7 @@ def _build_parser():
     # built once per process: parse_args leaves the parser unchanged, and
     # the append options default to None, so no list is shared by two calls
     parser = argparse.ArgumentParser(
-        prog="whitney",
-        description="exact generalized Stirling-Whitney-Dowling computations",
-    )
+        prog="whitney", description="exact generalized Stirling-Whitney-Dowling computations")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     for verb, kinds, text in (("table", TABLE_KINDS, "print triangle rows 0..n"),
@@ -90,10 +88,8 @@ def _build_parser():
     p.add_argument("--r", type=parse_rat, action="append", default=None)
     p.add_argument("--format", choices=("json", "pretty"), default="json")
 
-    p = sub.add_parser(
-        "oracle-compare",
-        help="compare recurrence, grammar, series, and both enumeration counts",
-    )
+    p = sub.add_parser("oracle-compare",
+                       help="compare recurrence, grammar, series, and both enumeration counts")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=_positive_int, required=True)
@@ -147,16 +143,9 @@ def _cmd_verify(args, out):
         out.write(json.dumps([rep.to_dict() for rep in reports], default=rat_str) + "\n")
     else:
         for rep in reports:
-            out.write(
-                "%-24s %-4s grid=%-5d %5dms%s\n"
-                % (
-                    rep.name,
-                    rep.status.upper(),
-                    rep.grid_size,
-                    rep.elapsed_ms,
-                    ("  " + "; ".join(rep.notes)) if rep.notes else "",
-                )
-            )
+            notes = ("  " + "; ".join(rep.notes)) if rep.notes else ""
+            out.write("%-24s %-4s grid=%-5d %5dms%s\n"
+                      % (rep.name, rep.status.upper(), rep.grid_size, rep.elapsed_ms, notes))
             if rep.counterexample is not None:
                 ce = json.dumps(rep.counterexample, default=rat_str)
                 out.write("  counterexample: %s\n" % ce)
@@ -176,13 +165,8 @@ def _cmd_oracle_compare(args, out):
         "mr": enumeration.count_augmented_partitions(n, k, m, r),
     }
     agree = len(set(values.values())) == 1
-    out.write(
-        "%s %s\n"
-        % (
-            " ".join("%s=%s" % (name, rat_str(v)) for name, v in values.items()),
-            "AGREE" if agree else "DISAGREE",
-        )
-    )
+    out.write("%s %s\n" % (" ".join("%s=%s" % (name, rat_str(v)) for name, v in values.items()),
+                            "AGREE" if agree else "DISAGREE"))
     return 0 if agree else 1
 
 
@@ -192,13 +176,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    handlers = {
-        "table": _cmd_rows,
-        "poly": _cmd_rows,
-        "series": _cmd_series,
-        "verify": _cmd_verify,
-        "oracle-compare": _cmd_oracle_compare,
-    }
+    handlers = {"table": _cmd_rows, "poly": _cmd_rows, "series": _cmd_series,
+                "verify": _cmd_verify, "oracle-compare": _cmd_oracle_compare}
     try:
         return handlers[args.verb](args, sys.stdout)
     except WhitneyError as exc:

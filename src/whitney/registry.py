@@ -159,11 +159,7 @@ def _scan(evaluate, grid):
     for params, lhs, rhs in evaluate(grid):
         points += 1
         if lhs != rhs:
-            return points, {
-                "params": dict(params),
-                "lhs": _render(lhs),
-                "rhs": _render(rhs),
-            }
+            return points, {"params": dict(params), "lhs": _render(lhs), "rhs": _render(rhs)}
     return points, None
 
 
@@ -195,14 +191,8 @@ def run_check(name: str, overrides: dict = None) -> CheckReport:
             fail = dict(fail) if fail is not None else {}
             fail["correction_counterexample"] = v_fail
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return CheckReport(
-        name=name,
-        grid_size=points,
-        status="pass" if fail is None else "fail",
-        counterexample=fail,
-        elapsed_ms=elapsed_ms,
-        notes=notes,
-    )
+    return CheckReport(name=name, grid_size=points, status="pass" if fail is None else "fail",
+                       counterexample=fail, elapsed_ms=elapsed_ms, notes=notes)
 
 
 def run_all(overrides: dict = None, names=None) -> list:

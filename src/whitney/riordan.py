@@ -9,14 +9,14 @@ t / fbar(t), fbar the compositional inverse of f.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import comb, lcm
 from operator import mul
 
 from . import qformat
 from .errors import NotInvertible, OrderExceeded
 from .poly import Poly
 from .qformat import exact
-from .series import Egf, expm1_scaled, log1p_scaled
+from .series import Egf, _Operand, _product, expm1_scaled, log1p_scaled
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -26,6 +26,7 @@ class ExpRiordan:
     g: Egf
     f: Egf
     _cols: dict = field(init=False, repr=False)
+    _fp: _Operand = field(init=False, repr=False)  # f as every column step's factor
 
     def __post_init__(self):
         order = min(self.g.order, self.f.order)
@@ -40,6 +41,7 @@ class ExpRiordan:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "_cols", {0: g})
+        object.__setattr__(self, "_fp", _Operand(f._n, f._d, order))
 
     @property
     def order(self) -> int:
@@ -49,16 +51,27 @@ class ExpRiordan:
         # column k stores g f^k / k!: column k - 1 times f, with k multiplied
         # into the denominator, built in turn, so no index recurses; the
         # cache is idempotent, so a racing reader at worst recomputes
-        cols = self._cols
+        cols, f = self._cols, self.f
         for j in range(len(cols), k + 1):
-            cols[j] = cols[j - 1].mul(self.f, j)
+            nums, den = _product(cols[j - 1]._n, cols[j - 1]._d, f._n, f._d, self.order, self._fp)
+            cols[j] = Egf._make(nums, den * j)
         return cols[k]
 
+    def _direct(self, k: int) -> Egf:
+        """Column k >= 1 read off g phi^k, phi = f / t = f_1 (phi / f_1) at
+        order N - k: entry (n, k) is C(n, k) times its coefficient n - k."""
+        phi = self.f.shift_down().truncate(self.order - k)
+        f1 = phi.coeff(0)
+        s = self.g.mul((phi * (1 / f1)).pow(k)) * f1 ** k
+        return Egf._make([0] * k + [comb(n, k) * x for n, x in enumerate(s._n, k)], s._d)
+
     def column(self, k: int) -> Egf:
-        """Column k as a series: its EGF coefficient n is entry (n, k)."""
+        """Column k as a series: its EGF coefficient n is entry (n, k).  With
+        more than six columns up to it not yet built, it is read off g phi^k,
+        which costs about five to ten steps, and not kept; entry and rows step."""
         if qformat.count(k, "k") > self.order:
             raise OrderExceeded("column %d beyond order %d" % (k, self.order))
-        return self._col(k)
+        return self._direct(k) if k - len(self._cols) >= 6 else self._col(k)
 
     def entry(self, n: int, k: int) -> Fraction:
         if qformat.count(n, "n") > self.order or qformat.count(k, "k") > self.order:
@@ -76,7 +89,10 @@ class ExpRiordan:
 
     def rows(self, n: int = None) -> list:
         n = self.order if n is None else qformat.count(n, "n")
-        return [[self.entry(i, k) for k in range(i + 1)] for i in range(n + 1)]
+        if n > self.order:
+            raise OrderExceeded("row %d beyond order %d" % (n, self.order))
+        cols = [self._col(k) for k in range(n + 1)]
+        return [[Fraction(col._n[i], col._d) for col in cols[: i + 1]] for i in range(n + 1)]
 
     def mul(self, other: "ExpRiordan") -> "ExpRiordan":
         """Group product: <g1, f1> * <g2, f2> = <g1 (g2 o f1), f2 o f1>."""
@@ -100,9 +116,8 @@ class ExpRiordan:
     def __eq__(self, other):
         if isinstance(other, ExpRiordan):
             n = min(self.order, other.order)
-            return self.g.truncate(n) == other.g.truncate(n) and self.f.truncate(
-                n
-            ) == other.f.truncate(n)
+            return (self.g.truncate(n) == other.g.truncate(n)
+                    and self.f.truncate(n) == other.f.truncate(n))
         return NotImplemented
 
 
@@ -146,10 +161,7 @@ def sheffer_polys(g: Egf, f: Egf, count: int) -> list:
     inverse array <g, f>^{-1} as its coefficient matrix.
     """
     qformat.count(count, "count")  # the parameter shadows the gate's name
-    inv = ExpRiordan(g, f).inverse()
-    if count > inv.order:
-        raise OrderExceeded("pair truncated below the requested count")
-    return [Poly([inv.entry(n, k) for k in range(n + 1)]) for n in range(count + 1)]
+    return [Poly(row) for row in ExpRiordan(g, f).inverse().rows(count)]
 
 
 def _connection_arrays(source, l, hs):

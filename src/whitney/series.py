@@ -22,11 +22,13 @@ operands' sizes:
   over their lcm are far shorter than A_k times a binomial.
 
 Both forms give the same exact product, and the choice costs a few bit
-lengths.  :meth:`Egf.inv`, :meth:`Egf.exp` and :meth:`Egf.log` run one
+lengths.  A factor that recurs, a Riordan array's f or the inner series of
+Horner's rule in :meth:`Egf.compose`, is an ``_Operand`` whose form is built
+on first use and kept; a one-off product streams its rows.
+:meth:`Egf.inv`, :meth:`Egf.exp` and :meth:`Egf.log` run one
 lower-triangular recurrence, ``_triangular``, whose inner sums are plain
 integers over one running denominator, with binomials read from one Pascal
 row stepped per output; :meth:`Egf.inv` is the only reciprocal.
-:meth:`Egf.compose` runs Horner's rule, with weighted inner rows built once.
 
 Reversion is implemented twice on purpose: :meth:`Egf.reverse` runs Newton
 iteration through :meth:`Egf.compose`, at precisions ceil(n / 2^i) up to n,
@@ -37,6 +39,7 @@ the second path exists solely to check the first.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, islice
 from math import factorial, gcd, lcm, lgamma, log
 from numbers import Number
@@ -72,10 +75,27 @@ def _ordinary_numerators(A, d, n):
     return [p * (L // q) for p, q in zip(nums, dens)], L
 
 
-def _product(A, da, B, db, n, rows=None):
+class _Operand:
+    """B / db through order n (B holds n + 1 terms at least), a factor of
+    repeated products: each form ``_product`` takes it in is kept once built."""
+
+    def __init__(self, B, db, n):
+        self.B, self.db, self.n = B, db, n
+
+    @cached_property
+    def rows(self):
+        return [list(w) for w in _weighted_rows(self.B, self.n)]
+
+    @cached_property
+    def ordinary(self):
+        return _ordinary_numerators(self.B, self.db, self.n)
+
+
+def _product(A, da, B, db, n, prep=None):
     """EGF numerators and denominator, not yet reduced, of the product of
     A / da and B / db through order n; a missing coefficient reads as 0.
-    `rows`, if given, are B's ``_weighted_rows`` through n, else streamed.
+    `prep`, if given, is B / db as an ``_Operand`` through order n or more,
+    kept across products with it; else B's rows are streamed.
 
     The form is picked by size.  The binomial sum multiplies A_k B_{n-k}
     by C(n,k), of up to n bits.  The ordinary form reduces each a_k / k!
@@ -88,17 +108,18 @@ def _product(A, da, B, db, n, rows=None):
     A = list(A[: n + 1]) + [0] * (n + 1 - len(A))
     B = list(B[: n + 1]) + [0] * (n + 1 - len(B))
     if n >= 30:
-        grow = (max(x.bit_length() for x in A) - da.bit_length()
-                + max(x.bit_length() for x in B) - db.bit_length())
+        grow = (max(map(int.bit_length, A)) - da.bit_length()
+                + max(map(int.bit_length, B)) - db.bit_length())
         if grow > 2 * lgamma(n + 1) / log(2):
             oa, la = _ordinary_numerators(A, da, n)
-            ob, lb = _ordinary_numerators(B, db, n)
+            ob, lb = prep.ordinary if prep else _ordinary_numerators(B, db, n)
             out, f = _convolve(oa, ob, n), 1
             for i in range(1, n + 1):
                 f *= i
                 out[i] *= f
             return out, la * lb
-    return [sum(map(mul, A, w)) for w in islice(rows or _weighted_rows(B, n), n + 1)], da * db
+    rows = prep.rows if prep else _weighted_rows(B, n)
+    return [sum(map(mul, A, w)) for w in islice(rows, n + 1)], da * db
 
 
 def _triangular(x, dx, u, du, d):
@@ -238,12 +259,9 @@ class Egf(_Pair):
 
     __rmul__ = __mul__
 
-    def mul(self, other: "Egf", over: int = 1) -> "Egf":
-        """Product of the underlying series, c_n = sum C(n,k) a_k b_{n-k},
-        divided by the positive int `over` at the cost of one denominator
-        multiply: a Riordan column is the one before it times f over k."""
-        nums, den = _product(self._n, self._d, other._n, other._d, min(self.order, other.order))
-        return Egf._make(nums, den * over)
+    def mul(self, other: "Egf") -> "Egf":
+        """Product of the underlying series, c_n = sum C(n,k) a_k b_{n-k}."""
+        return Egf._make(*_product(self._n, self._d, other._n, other._d, min(self.order, other.order)))
 
     def inv(self) -> "Egf":
         """Reciprocal series; needs a nonzero constant term."""
@@ -292,10 +310,10 @@ class Egf(_Pair):
         n = min(self.order, inner.order)
         A, D, G = self._n, self._d, inner._n
         facts = list(accumulate(range(1, n + 1), mul, initial=1))
-        rows = [list(w) for w in _weighted_rows(G, n)]
+        prep = _Operand(G, inner._d, n)
         out, den = _reduced([A[n]], D * facts[n])
         for k in range(n - 1, -1, -1):
-            out, pd = _product(out, den, G, inner._d, n - k, rows)
+            out, pd = _product(out, den, G, inner._d, n - k, prep)
             q = D * facts[k]
             den = lcm(pd, q)
             out = [x * (den // pd) for x in out]

@@ -2,6 +2,7 @@ import inspect
 import io
 import random
 import sys
+import time
 from fractions import Fraction
 from math import comb
 
@@ -29,6 +30,7 @@ from whitney.riordan import (
     whitney1_array,
     whitney2_array,
 )
+from whitney import series
 from whitney.series import Egf, expm1_scaled, log1p_scaled
 from whitney.triangles import (
     _rows,
@@ -331,15 +333,89 @@ def test_arrays_gate_m_as_the_row_store_does(build, m):
 
 def test_columns_are_built_without_recursion():
     # column k is stepped from column k - 1 in a loop, so a high column
-    # needs no stack frame per k below it
+    # needs no stack frame per k below it; entry always steps, and so does
+    # column(k) once the columns below it are built
+    arr = whitney2_array(1, 0, 100)
+    rows = _rows("whitney2", 1, 0, 100)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 40)
     try:
-        col = whitney2_array(1, 0, 100).column(60)
+        assert arr.entry(100, 55) == rows[100][55]
+        col = arr.column(60)  # five columns missing: stepped
     finally:
         sys.setrecursionlimit(limit)
-    rows = _rows("whitney2", 1, 0, 100)
+    assert sorted(arr._cols) == list(range(61))
     assert list(col.a) == [rows[n][60] if n >= 60 else 0 for n in range(101)]
+
+
+def test_a_high_column_is_read_off_g_phi_k_and_not_kept():
+    # with no column below it built, column 60 comes from one power of
+    # phi = f / t, so no column is stepped and none is stored
+    for build, kind in ((whitney2_array, "whitney2"), (whitney1_array, "whitney1")):
+        arr = build(2, Fraction(-1, 3), 100)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+        try:
+            col = arr.column(60)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert list(arr._cols) == [0]
+        rows = _rows(kind, 2, Fraction(-1, 3), 100)
+        assert list(col.a) == [rows[n][60] if n >= 60 else 0 for n in range(101)]
+
+
+def test_column_300_at_order_600_is_direct_and_fast():
+    # stepping 300 full-order products took seconds; the row store is the oracle
+    rows = _rows("whitney2", 1, 0, 600)
+    start = time.perf_counter()
+    col = whitney2_array(1, 0, 600).column(300)
+    elapsed = time.perf_counter() - start
+    assert list(col.a) == [rows[n][300] if n >= 300 else 0 for n in range(601)]
+    assert elapsed < 2.0
+
+
+def _scaled_array(m, r, order):
+    # f'(0) = -3/2, so phi / f_1 and f_1^k are not the identity
+    return ExpRiordan(Egf.exp_linear(r, order), Fraction(-3, 2) * log1p_scaled(m, order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((whitney1_array, whitney2_array, _scaled_array)), st.integers(1, 4),
+       st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)), st.data())
+def test_direct_column_equals_the_stepped_one(build, m, r, data):
+    order = data.draw(st.integers(1, 40), label="order")
+    k = data.draw(st.integers(0, order), label="k")
+    stepped = build(m, r, order)
+    want = stepped._col(k)
+    got = build(m, r, order).column(k)
+    assert got == want
+    assert list(got.a) == list(want.a) and list(map(type, got.a)) == list(map(type, want.a))
+    assert stepped.column(k) is want  # a built column is read back, not rebuilt
+
+
+@pytest.mark.parametrize("arr", [whitney2_array(3, Fraction(1, 3), 12), whitney1_array(2, -5, 12),
+                                 whitney1_array(3, 2, 33).inverse()])
+def test_rows_are_the_entries_as_fractions(arr):
+    rows = arr.rows()
+    assert [len(row) for row in rows] == list(range(1, arr.order + 2))
+    assert all(type(v) is Fraction for row in rows for v in row)
+    assert rows == [[arr.entry(i, k) for k in range(i + 1)] for i in range(arr.order + 1)]
+    assert arr.rows(5) == rows[:6]
+
+
+def test_each_array_prepares_f_once(monkeypatch):
+    # the ordinary numerators of f, and of compose's inner series, are built
+    # on first use and kept; only the other factor's are built per product
+    seen = []
+    real = series._ordinary_numerators
+    monkeypatch.setattr(series, "_ordinary_numerators", lambda A, d, n: seen.append(tuple(A)) or real(A, d, n))
+    arr = whitney1_array(2, 1, 40)
+    arr.rows()
+    assert seen.count(arr.f._n) == 1 and len(seen) > 10  # a column per ordinary-form step
+    seen.clear()
+    fbar = expm1_scaled(3, 37).reverse()  # ln(1 + 3t)/3, as in whitney2_array(3, 2, 37).inverse()
+    Egf.exp_linear(2, 37).compose(fbar)
+    assert seen.count(fbar._n) == 1 and len(seen) > 2
 
 
 fracs = st.fractions(-5, 5, max_denominator=6)
