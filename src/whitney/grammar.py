@@ -10,15 +10,15 @@ triangle row by row, which this module exposes directly.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from numbers import Number
 
 from .errors import BadParameter, StrayMonomial
+from .poly import _Exact
 from .qformat import canonical, count, exact, rat_str
 
 # variable order is (y, x); exponent keys are (a, b) for y^a x^b
 
 
-class XYPoly:
+class XYPoly(_Exact):
     """Finite linear combination of monomials y^a x^b with exact coefficients.
 
     ``terms`` maps (a, b) to the coefficient; zero coefficients are never
@@ -45,9 +45,6 @@ class XYPoly:
         object.__setattr__(p, "terms", {key: c for key, c in d.items() if c})
         return p
 
-    def __setattr__(self, name, value):
-        raise AttributeError("XYPoly is immutable")
-
     @classmethod
     def monomial(cls, a: int, b: int, c=1) -> "XYPoly":
         return cls({(a, b): c})
@@ -67,31 +64,22 @@ class XYPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: "XYPoly") -> "XYPoly":
-        if not isinstance(other, XYPoly):
-            return NotImplemented
+    def _plus(self, other, sign):
         d = dict(self.terms)
         for key, c in other.terms.items():
-            d[key] = d.get(key, 0) + c
+            d[key] = d.get(key, 0) + sign * c
         return XYPoly._merged(d)
 
-    def __sub__(self, other: "XYPoly") -> "XYPoly":
-        return self + (-1) * other
+    def _times(self, other):
+        d = {}
+        for (a1, b1), c1 in self.terms.items():
+            for (a2, b2), c2 in other.terms.items():
+                key = (a1 + a2, b1 + b2)
+                d[key] = d.get(key, 0) + c1 * c2
+        return XYPoly._merged(d)
 
-    def __mul__(self, other):
-        if isinstance(other, XYPoly):
-            d = {}
-            for (a1, b1), c1 in self.terms.items():
-                for (a2, b2), c2 in other.terms.items():
-                    key = (a1 + a2, b1 + b2)
-                    d[key] = d.get(key, 0) + c1 * c2
-            return XYPoly._merged(d)
-        if not isinstance(other, Number):  # another algebra's value
-            return NotImplemented
-        other = exact(other)
-        return XYPoly._merged({key: c * other for key, c in self.terms.items()})
-
-    __rmul__ = __mul__
+    def _scaled(self, c):
+        return XYPoly._merged({key: v * c for key, v in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:

@@ -362,9 +362,8 @@ def _corrected(grid, source, family):
         hs = (whitney1_array(m, r, order).g for r in grid["r"])
         for r, arr in zip(grid["r"], _connection_arrays(pair, log1p_scaled(m, order), hs)):
             D = _polys("whitney2", m, r, n_max)
-            for n in range(n_max + 1):
-                nums, d = arr._row_numerators(n)
-                yield {"m": m, "r": r, "n": n}, D[n], Fraction(1, d) * lincomb(zip(nums, fam))
+            for n, row in enumerate(arr.rows(n_max)):
+                yield {"m": m, "r": r, "n": n}, D[n], lincomb(zip(row, fam))
 
 
 @_identity("dowling-to-bernoulli",

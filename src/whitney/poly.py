@@ -6,9 +6,12 @@ integer numerators over one positive denominator with no common factor,
 reached by one gcd pass, ``_reduced``, after each operation.  Equal values
 therefore have equal pairs, so ``==`` and ``hash`` read the pair, and
 arithmetic computes on the integers and never rounds.  A view of the values
-is built on first read.  Values are immutable and safe to share.  ``Poly``
-and ``Egf`` are the two pair types; ``_cleared`` puts a sequence of exact
-values in the layout.
+is built on first read.  ``Poly`` and ``Egf`` are the two pair types;
+``_cleared`` puts a sequence of exact values in the layout.  Their base,
+``_Exact``, is also that of :class:`whitney.grammar.XYPoly`: it makes the
+values of the three exact algebras immutable, so safe to share, and holds
+their one operator rule: ``+`` and ``-`` take a value of the same type,
+``*`` that or an exact scalar, and anything else is ``NotImplemented``.
 
 A ``Poly`` lists its numerators by ascending power of x, with no trailing
 zero.  ``coeffs`` is its view, each coefficient canonical: an ``int`` when
@@ -63,7 +66,37 @@ def _convolve(a, b, n):
     return out
 
 
-class _Pair:
+class _Exact:
+    """Immutable values under one operator rule, as the module docstring sets
+    out; a type supplies _plus(other, sign), _times(other) and _scaled(c)."""
+
+    __slots__ = ()
+
+    # not frozen dataclasses: hot constructors skip __init__; test_poly pins this message
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._plus(other, -1)
+
+    def __mul__(self, other):
+        if type(other) is type(self):
+            return self._times(other)
+        if not isinstance(other, Number):  # another algebra's value
+            return NotImplemented
+        return self._scaled(exact(other))
+
+    __rmul__ = __mul__
+
+
+class _Pair(_Exact):
     """Integer numerators `_n` over the denominator `_d`, in the layout the
     module docstring sets out, and `_v`, the view of the values, or None
     until it is built.  Equal only to a value of the same type."""
@@ -81,11 +114,6 @@ class _Pair:
         """The value of a pair already canonical: a tuple of numerators
         over den > 0 with no common factor."""
         return object.__new__(cls)._set(nums, den, view)
-
-    # not a frozen dataclass, and neither is XYPoly: their hot constructors,
-    # _of and XYPoly._merged, skip __init__, and test_poly pins this message
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
 
     def __eq__(self, other) -> bool:
         if type(other) is type(self):
@@ -175,28 +203,15 @@ class Poly(_Pair):
     def __bool__(self) -> bool:
         return bool(self._n)
 
-    def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return lincomb(((1, self), (1, other)))
+    def _plus(self, other, sign):
+        return lincomb(((1, self), (sign, other)))
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return lincomb(((1, self), (-1, other)))
+    def _times(self, other):
+        return _make(_convolve(self._n, other._n, self.degree + other.degree),
+                     self._d * other._d)
 
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            if not (self._n and other._n):
-                return Poly()
-            return _make(_convolve(self._n, other._n, self.degree + other.degree),
-                         self._d * other._d)
-        if not isinstance(other, Number):  # another algebra's value
-            return NotImplemented
-        c = exact(other)
+    def _scaled(self, c):
         return _make([c.numerator * v for v in self._n], self._d * c.denominator)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         out = Poly((1,))

@@ -9,7 +9,7 @@ t / fbar(t), fbar the compositional inverse of f.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, lcm
+from math import comb
 from operator import mul
 
 from . import qformat
@@ -79,13 +79,6 @@ class ExpRiordan:
         if k > n:
             return Fraction(0)
         return self._col(k).coeff(n)
-
-    def _row_numerators(self, n: int) -> tuple:
-        """Row n, for n <= order, as integer numerators over one denominator,
-        read off the columns' pairs: entry (n, k) is nums[k] / den."""
-        cols = [self._col(k) for k in range(n + 1)]
-        den = lcm(*[col._d for col in cols])
-        return [col._n[n] * (den // col._d) for col in cols], den
 
     def rows(self, n: int = None) -> list:
         n = self.order if n is None else qformat.count(n, "n")

@@ -42,7 +42,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice
 from math import factorial, gcd, lcm, lgamma, log
-from numbers import Number
 from operator import add, mul
 
 from .errors import BadConstantTerm, NotInvertible, OrderExceeded
@@ -239,25 +238,11 @@ class Egf(_Pair):
         s, t = d // self._d, sign * (d // other._d)
         return Egf._make([x * s + y * t for x, y in zip(self._n, other._n)], d)
 
-    def __add__(self, other: "Egf") -> "Egf":
-        if not isinstance(other, Egf):
-            return NotImplemented
-        return self._plus(other, 1)
+    def _times(self, other):
+        return self.mul(other)
 
-    def __sub__(self, other: "Egf") -> "Egf":
-        if not isinstance(other, Egf):
-            return NotImplemented
-        return self._plus(other, -1)
-
-    def __mul__(self, other):
-        if isinstance(other, Egf):
-            return self.mul(other)
-        if not isinstance(other, Number):  # another algebra's value
-            return NotImplemented
-        c = exact(other)
+    def _scaled(self, c):
         return Egf._make([x * c.numerator for x in self._n], self._d * c.denominator)
-
-    __rmul__ = __mul__
 
     def mul(self, other: "Egf") -> "Egf":
         """Product of the underlying series, c_n = sum C(n,k) a_k b_{n-k}."""
@@ -378,12 +363,8 @@ class Egf(_Pair):
 
 def expm1_scaled(m, order: int) -> Egf:
     """(e^{mt} - 1)/m: a_0 = 0 and a_n = m^{n-1} for n >= 1."""
-    m, out = exact(m), [0]
-    if count(order, "order") >= 1:
-        out.append(1)
-        for _ in range(order - 1):
-            out.append(out[-1] * m)
-    return Egf(out)
+    m = exact(m)
+    return Egf([0] + [m ** (n - 1) for n in range(1, count(order, "order") + 1)])
 
 
 def log1p_scaled(m, order: int) -> Egf:

@@ -128,17 +128,21 @@ def test_poly_and_egf_share_the_pair_layout_but_not_equality():
     p, e = Poly([1]), Egf([1])
     assert (p._n, p._d) == (e._n, e._d)
     assert p != e and e != p
-    for v in (Poly([1, Fraction(-1, 2)]), Egf([1, Fraction(-1, 2)])):
+    pairs = (Poly([1, Fraction(-1, 2)]), Egf([1, Fraction(-1, 2)]))
+    for v in pairs:
         assert -(-v) == v and -v != v
-        assert v != v * 2 and v != Fraction(1, 2) * v
         assert hash(-(-v)) == hash(v)
+    for v in pairs + (XYPoly.monomial(1, 0, Fraction(-1, 2)),):
+        assert v != v * 2 and v != Fraction(1, 2) * v
         with pytest.raises(AttributeError, match="^%s is immutable$" % type(v).__name__):
             v._n = (1,)
     # a sum or product takes only its own type or a scalar, though Poly and
     # Egf share the layout
     for mixed in (lambda: Egf([1, 2]) - Poly([1]), lambda: Egf([1, 2]) + 1,
                   lambda: XYPoly.monomial(1, 0) + 1, lambda: Egf([1, 2]) * Poly([1]),
-                  lambda: Poly([1]) * Egf([1, 2]), lambda: XYPoly.monomial(1, 0) * Poly([1])):
+                  lambda: Poly([1]) * Egf([1, 2]), lambda: XYPoly.monomial(1, 0) * Poly([1]),
+                  lambda: Egf([1, 2]) + Poly([1]), lambda: Poly([1]) + Egf([1, 2]),
+                  lambda: XYPoly.monomial(1, 0) - Poly([1])):
         with pytest.raises(TypeError):
             mixed()
 

@@ -423,11 +423,10 @@ fracs = st.fractions(-5, 5, max_denominator=6)
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 4), fracs, st.integers(1, 8))
-def test_row_numerators_are_the_entries_over_one_denominator(m, r, order):
+def test_rows_are_the_entries_at_a_rational_r(m, r, order):
     # the connection-constant route reads its rows this way, never through entry
     w1 = whitney1_array(m, r, order)
     for arr in (whitney2_array(m, r, order), w1, w1.inverse()):
-        for n in range(order + 1):
-            nums, den = arr._row_numerators(n)
-            assert all(type(v) is int for v in nums) and type(den) is int and den > 0
-            assert [Fraction(v, den) for v in nums] == [arr.entry(n, k) for k in range(n + 1)]
+        rows = arr.rows()
+        assert all(type(v) is Fraction for row in rows for v in row)
+        assert rows == [[arr.entry(n, k) for k in range(n + 1)] for n in range(order + 1)]
