@@ -14,9 +14,8 @@ connection-constant array, and passes only when both routes verify.
 
 import random
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import product
-from math import comb, factorial
+from functools import cache, lru_cache, partial
+from math import comb, factorial, prod
 from operator import mul
 
 from .errors import BadGrid
@@ -131,46 +130,41 @@ def _memo(fn):
 
 
 @_identity("egf-whitney2",
-           "column k series of the second-kind triangle is e^{rz}((e^{mz}-1)/m)^k/k!")
-def _egf_whitney2(grid):
+           "column k series of the second-kind triangle is e^{rz}((e^{mz}-1)/m)^k/k!",
+           ("m", "r", ("k", "max_n")), per=2)
+def _egf_whitney2(grid, m, r):
     # an array needs order 1 at least; each column is cut back to order max_n
     n_max = grid["max_n"]
-    for m, r in product(grid["m"], grid["r"]):
-        rows = _rows("whitney2", m, r, n_max)[: n_max + 1]
-        arr = whitney2_array(m, r, max(n_max, 1))
-        for k in range(n_max + 1):
-            lhs = list(arr.column(k).a[: n_max + 1])
-            yield {"m": m, "r": r, "k": k}, lhs, [row[k] if k < len(row) else 0 for row in rows]
+    rows = _rows("whitney2", m, r, n_max)[: n_max + 1]
+    arr = whitney2_array(m, r, max(n_max, 1))
+    return lambda k: (list(arr.column(k).a[: n_max + 1]),
+                      [row[k] if k < len(row) else 0 for row in rows])
 
 
 @_identity("egf-dowling", "exp(rt + u(e^{mt}-1)/m) generates the Dowling row polynomials",
-           grid={"u": (0, 1, 2, 3)})
-def _egf_dowling(grid):
+           ("m", "r", "u"), grid={"u": (0, 1, 2, 3)}, per=2)
+def _egf_dowling(grid, m, r):
     # the series is the one `series dowling-egf` prints
     n_max = grid["max_n"]
-    for m, r in product(grid["m"], grid["r"]):
-        D = _polys("whitney2", m, r, n_max)[: n_max + 1]
-        for u in grid["u"]:
-            yield {"m": m, "r": r, "u": u}, list(_dowling_egf(m, r, u, n_max).a), [p(u) for p in D]
+    D = _polys("whitney2", m, r, n_max)[: n_max + 1]
+    return lambda u: (list(_dowling_egf(m, r, u, n_max).a), [p(u) for p in D])
 
 
 @_identity("lemma-grammar-dowling",
-           "n-th grammar derivative of y x^r equals y x^r times the Dowling polynomial at x^m")
-def _lemma_grammar_dowling(grid):
-    # the derivative is carried along n, one grammar step per point
-    negative = [r for r in grid["r"] if r < 0]  # y x^r is a monomial only for r >= 0
+           "n-th grammar derivative of y x^r equals y x^r times the Dowling polynomial at x^m",
+           _MRN, per=2)
+def _lemma_grammar_dowling(grid, m, r):
+    # the derivatives are carried along n, each one grammar step from the last;
+    # the whole grid is checked at the first (m, r), before any point
+    negative = [x for x in grid["r"] if x < 0]  # y x^r is a monomial only for r >= 0
     if negative:
         raise BadGrid("identity 'lemma-grammar-dowling': r must be nonnegative, got %s"
                       % rat_str(negative[0]))
-    for m in grid["m"]:
-        g = whitney_grammar(m)
-        for r in grid["r"]:
-            rows = _rows("whitney2", m, r, grid["max_n"])
-            state = XYPoly.monomial(1, r)
-            for n in range(grid["max_n"] + 1):
-                rhs = XYPoly({(1, m * k + r): w for k, w in enumerate(rows[n])})
-                yield {"m": m, "r": r, "n": n}, state, rhs
-                state = derive_n(g, state, 1)
+    g, rows = whitney_grammar(m), _rows("whitney2", m, r, grid["max_n"])
+    derivs = [XYPoly.monomial(1, r)]
+    for _ in range(grid["max_n"]):
+        derivs.append(derive_n(g, derivs[-1], 1))
+    return lambda n: (derivs[n], XYPoly({(1, m * k + r): w for k, w in enumerate(rows[n])}))
 
 
 @_identity("dowling-shift-l1", "D_{m,r+1}(n,u) = sum_k C(n,k) D_{m,r}(k,u)",
@@ -183,14 +177,12 @@ def _dowling_shift(m, r, l, n):
 
 
 @_identity("spivey", "D(n+h,u) = sum_{k,j} C(n,k) D(k,u) W(h,j) u^j (jm)^{n-k}",
-           grid={"max_h": 8}, bind={"entrywise": False})
+           _MRN + (("h", "max_h"),), grid={"max_h": 8}, bind={"entrywise": False}, per=3)
 @_identity("whitney-convolution", "W(n+h,s) = sum_{k,j} C(n,k) W(h,j) W(k,s-j) (jm)^{n-k}",
-           grid={"max_h": 8}, bind={"entrywise": True})
-def _spivey(grid, entrywise):
-    for m, r in product(grid["m"], grid["r"]):
-        for n in range(grid["max_n"] + 1):
-            for h, rhs in enumerate(_spivey_sums(m, r, n, grid["max_h"])):
-                yield {"m": m, "r": r, "n": n, "h": h}, *_sides(m, r, n + h, rhs, entrywise)
+           _MRN + (("h", "max_h"),), grid={"max_h": 8}, bind={"entrywise": True}, per=3)
+def _spivey(grid, m, r, n, entrywise):
+    sums = _spivey_sums(m, r, n, grid["max_h"])
+    return lambda h: _sides(m, r, n + h, sums[h], entrywise)
 
 
 @_memo
@@ -313,23 +305,19 @@ def _power_in_dowling(m, r, n, part):
     return dowling_poly(m, r, n), _xpow(n) - _umbral("whitney1", m, r, n, n)
 
 
-@_identity("dowlstir", "D_n(x) = sum_k r(r-m)...(r-(k-1)m)/k! times the k-th derivative of T_n")
-def _dowlstir(grid):
+@_identity("dowlstir", "D_n(x) = sum_k r(r-m)...(r-(k-1)m)/k! times the k-th derivative of T_n",
+           _MRN, per=1)
+def _dowlstir(grid, m):
     # the derivatives of T_n depend on (m, n), the falling values on (m, r)
     n_max = grid["max_n"]
-    for m in grid["m"]:
-        derivs = [[touchard_poly(m, n)] for n in range(n_max + 1)]
-        for n, ds in enumerate(derivs):
-            for _ in range(n):
-                ds.append(ds[-1].deriv())
-        for r in grid["r"]:
-            D = _polys("whitney2", m, r, n_max)
-            falling, value = [], 1  # r(r-m)...(r-(k-1)m)/k!
-            for k in range(n_max + 1):
-                falling.append(Fraction(value, factorial(k)))
-                value *= r - k * m
-            for n in range(n_max + 1):
-                yield {"m": m, "r": r, "n": n}, D[n], lincomb(zip(falling, derivs[n]))
+    derivs = [[touchard_poly(m, n)] for n in range(n_max + 1)]
+    for n, ds in enumerate(derivs):
+        for _ in range(n):
+            ds.append(ds[-1].deriv())
+
+    falling = cache(lambda r: [Fraction(prod(r - j * m for j in range(k)), factorial(k))
+                               for k in range(n_max + 1)])  # r(r-m)...(r-(k-1)m)/k!
+    return _expansion(grid, m, lambda r, W, n: zip(falling(r), derivs[n]))
 
 
 @_identity("bernoulli-to-dowling",
@@ -348,63 +336,67 @@ def _family_to_dowling(numbers, family, m, r, n):
     return family(n), Fraction(1, d) * rhs
 
 
-def _corrected(grid, source, family):
+def _expansion(grid, m, terms):
+    """The sides at (r, n) of an expansion of D_n: D_n and the sum of the (c, p)
+    pairs of terms(r, W, n), W the second-kind rows, read with D once per r."""
+    n_max = grid["max_n"]
+    rows = cache(lambda r: (_rows("whitney2", m, r, n_max), _polys("whitney2", m, r, n_max)))
+
+    def sides(r, n):
+        W, D = rows(r)
+        return D[n], lincomb(terms(r, W, n))
+    return sides
+
+
+def _corrected(grid, m, source, family):
     # correction route: the constants straight off the connection-constant
-    # array between the two Sheffer pairs.  The source pair is built once per
-    # grid, and the target's delta series ln(1+mt)/m, shared by every r, is
-    # reversed and composed into it once per m.  Order 1 at least: Egf.t has
-    # no order-0 form, and max_n = 0 still has one point
+    # array between the two Sheffer pairs.  The source pair is built, and the
+    # target's delta series ln(1+mt)/m, shared by every r, reversed and
+    # composed into it, once per m.  Order 1 at least: Egf.t has no order-0
+    # form, and max_n = 0 still has one point
     n_max = grid["max_n"]
     order = max(n_max, 1)
     fam = [family(k) for k in range(n_max + 1)]
-    pair = source(order)
-    for m in grid["m"]:
-        hs = (whitney1_array(m, r, order).g for r in grid["r"])
-        for r, arr in zip(grid["r"], _connection_arrays(pair, log1p_scaled(m, order), hs)):
-            D = _polys("whitney2", m, r, n_max)
-            for n, row in enumerate(arr.rows(n_max)):
-                yield {"m": m, "r": r, "n": n}, D[n], lincomb(zip(row, fam))
+    array_to = _connection_arrays(source(order), log1p_scaled(m, order))
+    rows = cache(lambda r: array_to(whitney1_array(m, r, order).g).rows(n_max))
+    return _expansion(grid, m, lambda r, W, n: zip(rows(r)[n], fam))
 
 
 @_identity("dowling-to-bernoulli",
            "Dowling polynomials expanded in Bernoulli polynomials (literal stated form)",
-           grid={"max_n": 6},
+           _MRN, grid={"max_n": 6}, per=1,
            variant=partial(_corrected, source=_sheffer_pair_bernoulli, family=bernoulli_poly))
-def _dowling_to_bernoulli(grid):
+def _dowling_to_bernoulli(grid, m):
     # the sum over s depends on (m, l) alone: one integer per l, on the
     # Bernoulli numerators over their one denominator d, formed once per m
     n_max = grid["max_n"]
     b, d = _cleared(bernoulli_numbers(n_max))
     fam = [bernoulli_poly(k) for k in range(n_max + 1)]
-    for m in grid["m"]:
-        t_one = [sum(row) for row in _rows("whitney2", m, 0, n_max + 1)[: n_max + 2]]  # T_s(1)
-        inner = [sum(comb(l + 1, s + 1) * m ** (l - s) * t_one[s + 1] * b[l - s]
-                     for s in range(l + 1)) for l in range(n_max + 1)]
-        for r in grid["r"]:
-            W, D = _rows("whitney2", m, r, n_max), _polys("whitney2", m, r, n_max)
-            for n in range(n_max + 1):
-                const = [Fraction(sum(comb(n + 1, l + 1) * W[n - l][k] * inner[l]
-                                      for l in range(n - k + 1)), (n + 1) * d)
-                         for k in range(n + 1)]
-                yield {"m": m, "r": r, "n": n}, D[n], lincomb(zip(const, fam))
+    t_one = [sum(row) for row in _rows("whitney2", m, 0, n_max + 1)[: n_max + 2]]  # T_s(1)
+    inner = [sum(comb(l + 1, s + 1) * m ** (l - s) * t_one[s + 1] * b[l - s]
+                 for s in range(l + 1)) for l in range(n_max + 1)]
+
+    def terms(r, W, n):
+        return zip((Fraction(sum(comb(n + 1, l + 1) * W[n - l][k] * inner[l]
+                                 for l in range(n - k + 1)), (n + 1) * d)
+                    for k in range(n + 1)), fam)
+    return _expansion(grid, m, terms)
 
 
 @_identity("dowling-to-euler",
            "Dowling polynomials expanded in Euler polynomials (literal stated form)",
-           variant=partial(_corrected, source=_sheffer_pair_euler, family=euler_poly))
-def _dowling_to_euler(grid):
+           _MRN, per=1, variant=partial(_corrected, source=_sheffer_pair_euler, family=euler_poly))
+def _dowling_to_euler(grid, m):
     n_max = grid["max_n"]
     fam = [euler_poly(k) for k in range(n_max + 1)]
-    for m in grid["m"]:
-        t_one = [sum(row) for row in _rows("whitney2", m, 0, n_max)[: n_max + 1]]  # T_l(1)
-        for r in grid["r"]:
-            W, D = _rows("whitney2", m, r, n_max), _polys("whitney2", m, r, n_max)
-            for n in range(n_max + 1):
-                # (1/2) sum + (1/2) W(n, k), as one Fraction
-                const = [Fraction(sum(comb(n, l) * W[n - l][k] * t_one[l]
-                                      for l in range(n - k + 1)) + W[n][k], 2)
-                         for k in range(n + 1)]
-                yield {"m": m, "r": r, "n": n}, D[n], lincomb(zip(const, fam))
+    t_one = [sum(row) for row in _rows("whitney2", m, 0, n_max)[: n_max + 1]]  # T_l(1)
+
+    def terms(r, W, n):
+        # (1/2) sum + (1/2) W(n, k), as one Fraction
+        return zip((Fraction(sum(comb(n, l) * W[n - l][k] * t_one[l]
+                                 for l in range(n - k + 1)) + W[n][k], 2)
+                    for k in range(n + 1)), fam)
+    return _expansion(grid, m, terms)
 
 
 def _az_sides(kind, cleared, m, r, n, identity):
@@ -447,24 +439,21 @@ def _az_sides(kind, cleared, m, r, n, identity):
     return lhs, rhs
 
 
+# (n, identity) in the order the row recurrences are visited
+_AZ = ("m", "r", (("n", "identity"), lambda g: [(n, "a-sequence-row") for n in range(g["max_n"])]
+                  + [(n, i) for n in range(1, g["max_n"] + 1) for i in ("g-shift", "column-scale")]))
+
+
 @_identity("az-recurrences-W2",
            "three row recurrences of the second-kind array (Cauchy-number A-sequence)",
-           bind={"kind": "whitney2", "numbers": cauchy_numbers})
+           _AZ, bind={"kind": "whitney2", "numbers": cauchy_numbers}, per=0)
 @_identity("az-recurrences-W1",
            "three row recurrences of the first-kind array (Bernoulli-number A-sequence)",
-           bind={"kind": "whitney1", "numbers": bernoulli_numbers})
+           _AZ, bind={"kind": "whitney1", "numbers": bernoulli_numbers}, per=0)
 def _az_recurrences(grid, kind, numbers):
     # stateless per point, but the A-sequence numbers are computed once
-    # per grid: the Cauchy numbers are not cached.  (n, identity) runs in
-    # the order the row recurrences are visited
-    n_max = grid["max_n"]
-    cleared = _cleared(numbers(n_max))
-    points = [(n, "a-sequence-row") for n in range(n_max)]
-    points += [(n, i) for n in range(1, n_max + 1) for i in ("g-shift", "column-scale")]
-    for m, r in product(grid["m"], grid["r"]):
-        for n, identity in points:
-            params = {"m": m, "r": r, "n": n, "identity": identity}
-            yield params, *_az_sides(kind, cleared, m, r, n, identity)
+    # per walk: the Cauchy numbers are not cached
+    return partial(_az_sides, kind, _cleared(numbers(grid["max_n"])))
 
 
 @_identity("orthogonality", "the two triangles are mutually inverse, entrywise",
@@ -484,19 +473,20 @@ def _apply(e, f):
 
 @_identity("inverse-relation",
            "f = w * g holds exactly when g = W * f, on random integer sequences",
-           grid={"max_n": 10, "seeds": (0, 1, 2)})
-def _inverse_relation(grid):
+           ("m", "r", ("seed", lambda grid: grid["seeds"]),
+            ("direction", ("second-then-first", "first-then-second"))),
+           grid={"max_n": 10, "seeds": (0, 1, 2)}, per=3)
+def _inverse_relation(grid, m, r, seed):
     # both directions draw, in turn, from one generator per (m, r, seed)
     n_max = grid["max_n"]
-    for m, r in product(grid["m"], grid["r"]):
-        W, w = _rows("whitney2", m, r, n_max), _rows("whitney1", m, r, n_max)
-        for seed in grid["seeds"]:
-            rng = random.Random("inverse-relation-%d-%s-%d" % (m, r, seed))
-            for direction, first, second in (("second-then-first", W, w),
-                                             ("first-then-second", w, W)):
-                f = [rng.randint(-9, 9) for _ in range(n_max + 1)]
-                params = {"m": m, "r": r, "seed": seed, "direction": direction}
-                yield params, _apply(second, _apply(first, f)), f
+    W, w = _rows("whitney2", m, r, n_max), _rows("whitney1", m, r, n_max)
+    rng = random.Random("inverse-relation-%d-%s-%d" % (m, r, seed))
+
+    def sides(direction):
+        first, second = (W, w) if direction == "second-then-first" else (w, W)
+        f = [rng.randint(-9, 9) for _ in range(n_max + 1)]
+        return _apply(second, _apply(first, f)), f
+    return sides
 
 
 @_identity("determinantal", "(-1)^n times the bordered first-kind determinant equals D_n(x)",

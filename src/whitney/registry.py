@@ -1,22 +1,22 @@
 """The identity registry and the one runner of its checks.
 
-``_identity`` declares each check at its definition, and the registry
-holds one generator of (params, lhs, rhs) per check.  ``run_check`` stops
-at the first point whose sides differ and renders both sides of it.  The
-declarations are in ``whitney.identities``, which this module never
-imports: importing the ``whitney`` package imports them, so the registry
-is full wherever the package is.
+``_identity`` declares each check at its definition, and ``_walk``, the
+one loop over a grid, makes it the registry's generator of (params, lhs,
+rhs).  ``run_check`` stops at the first point whose sides differ and
+renders both sides of it.  The declarations are in ``whitney.identities``,
+which this module never imports: importing the ``whitney`` package
+imports them, so the registry is full wherever the package is.
 """
 
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import product
+from itertools import chain
 
-from .errors import BadGrid, BadParameter, UnknownIdentity
+from .errors import BadGrid, UnknownIdentity
 from .grammar import XYPoly
 from .poly import Poly
-from .qformat import count, rat_str
+from .qformat import count, exact, rat_str
 
 
 @dataclass(frozen=True)
@@ -54,50 +54,57 @@ _BASE = {"max_n": 8, "m": (1, 2, 3), "r": (0, 1, 2, 3)}
 REGISTRY: dict = {}
 
 
-def _axis(axis, grid):
-    """The name of one axis and its values at `grid`.
+def _points(axes, grid):
+    """The params of each point of the product of `axes` at `grid`, the last
+    axis varying fastest.  An axis is a grid key ("n" runs over 0..max_n,
+    any other key over its tuple) or a pair (name, values), values being a
+    tuple, a function of the grid or the key of a bound b (0..b); a tuple
+    of names, as ("n", "identity"), takes a tuple of values at each step."""
+    points = [{}]
+    for axis in axes:
+        if isinstance(axis, str):
+            axis = axis, "max_n" if axis == "n" else grid[axis]
+        name, values = axis
+        values = range(grid[values] + 1) if isinstance(values, str) else values
+        values = values(grid) if callable(values) else values
+        steps = [dict(zip(name, v)) if isinstance(name, tuple) else {name: v} for v in values]
+        points = [{**point, **step} for point in points for step in steps]
+    return points
 
-    An axis is a grid key ("n" runs over 0..max_n, any other key over its
-    tuple of values) or a pair (name, values) whose values are a fixed
-    tuple or a function of the grid.
-    """
-    if isinstance(axis, str):
-        return axis, range(grid["max_n"] + 1) if axis == "n" else grid[axis]
-    name, values = axis
-    return name, values(grid) if callable(values) else values
 
-
-def _walk(sides, axes):
-    """Evaluator of a stateless identity: sides(**point) at each point of
-    the product of `axes`, the last axis varying fastest."""
+def _walk(fn, axes, per=None):
+    """The evaluator of a check, the one loop over a grid: fn(**point) gives
+    both sides at each point of the product of `axes`.  With `per`,
+    fn(grid, *values of the first `per` axes) runs once for each combination
+    of them and returns the function that gives both sides from the values
+    of the other axes, in order."""
 
     def evaluate(grid):
-        names, values = zip(*(_axis(axis, grid) for axis in axes))
-        for step in product(*values):
-            params = dict(zip(names, step))
-            lhs, rhs = sides(**params)
-            yield params, lhs, rhs
+        tails = [(tail, tuple(tail.values())) for tail in _points(axes[per or 0:], grid)]
+        for head in _points(axes[:per or 0], grid):
+            sides = fn if per is None else fn(grid, *head.values())
+            for tail, values in tails:
+                lhs, rhs = sides(**tail) if per is None else sides(*values)
+                yield {**head, **tail} if head else tail, lhs, rhs
 
     return evaluate
 
 
-def _identity(name, summary, axes=None, grid=None, bind=None, variant=None):
-    """Declare the decorated function as the identity check `name`.
+def _identity(name, summary, axes, grid=None, bind=None, variant=None, per=None):
+    """Declare the decorated function as the identity check `name`, walked
+    over `axes` by `_walk`, with `per` as there.
 
-    With `axes` the function gives both sides at one grid point and
-    `_walk` iterates the axes; without, it is the evaluator itself, a
-    generator of (params, lhs, rhs) taking the grid first, in the order
-    `_walk` would take.  `bind` fixes
-    keyword arguments, so that one function serves twin identities;
-    `grid` extends the base grid; a `variant` evaluator flags the check.
+    `bind` fixes keyword arguments, so that one function serves twin
+    identities; `grid` extends the base grid; a `variant`, declared as the
+    function is and walked over the same axes, flags the check.
     """
 
     def declare(fn):
         bound = partial(fn, **bind) if bind else fn
         g = dict(_BASE)
         g.update(grid or {})
-        evaluate = bound if axes is None else _walk(bound, axes)
-        REGISTRY[name] = IdentityCheck(name, summary, g, evaluate, variant)
+        flagged = None if variant is None else _walk(variant, axes, per)
+        REGISTRY[name] = IdentityCheck(name, summary, g, _walk(bound, axes, per), flagged)
         return fn
 
     return declare
@@ -121,9 +128,9 @@ def _lookup(name) -> IdentityCheck:
 
 def _gate(check, overrides):
     """The check's grid under `overrides`.  Reject a key the grid lacks, a
-    value that is not a tuple where the grid holds one, and bounds no walk
-    can take: a max_n, max_h or seed that is not a nonnegative int, or an m
-    that is not a positive int."""
+    value that is not a tuple where the grid holds one, and values no walk
+    can take: a max_n, max_h or seed that is not a nonnegative int, an m
+    that is not a positive int, or an r, u, l or s that is not exact."""
     name, grid = check.name, dict(check.grid)
     for key, value in overrides.items():
         if key not in grid:
@@ -139,7 +146,9 @@ def _gate(check, overrides):
             count(m, "m", 1)
         for seed in grid.get("seeds", ()):
             count(seed, "seed")
-    except BadParameter as exc:
+        for value in chain(*(grid.get(key, ()) for key in ("r", "u", "l", "s"))):
+            exact(value)
+    except ValueError as exc:  # a BadParameter is one
         raise BadGrid("identity %r: %s" % (name, exc)) from None
     return grid
 
@@ -170,9 +179,9 @@ def run_check(name: str, overrides: dict = None) -> CheckReport:
     "m": (2,), "r": (3,)}.  Passing the parameters of a reported
     counterexample as singleton overrides re-evaluates that point.  An
     unknown grid key, a tuple key given a value that is not a tuple, a
-    negative max_n or max_h, an m that is not a positive int, or a grid
-    with no points raises BadGrid, which is a ValueError; a check that
-    compared nothing never passes.
+    negative max_n or max_h, an m that is not a positive int, an inexact
+    r, u, l or s, or a grid with no points raises BadGrid, which is a
+    ValueError; a check that compared nothing never passes.
     """
     check = _lookup(name)
     grid = _gate(check, overrides or {})

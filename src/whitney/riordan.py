@@ -157,9 +157,9 @@ def sheffer_polys(g: Egf, f: Egf, count: int) -> list:
     return [Poly(row) for row in ExpRiordan(g, f).inverse().rows(count)]
 
 
-def _connection_arrays(source, l, hs):
-    """The array of :func:`connection_constants` from ``source`` to the
-    target pair (h, l), for each h of ``hs`` in turn.
+def _connection_arrays(source, l):
+    """The function that gives, for a target series h, the array of
+    :func:`connection_constants` from ``source`` to the target pair (h, l).
 
     The target delta series l is shared, so lbar = reverse(l) and the
     source's g(lbar) and f(lbar) are built once for every h.
@@ -167,8 +167,7 @@ def _connection_arrays(source, l, hs):
     g, f = source
     lbar = l.reverse()
     num, inner = g.compose(lbar), f.compose(lbar)
-    for h in hs:
-        yield ExpRiordan(num.mul(h.compose(lbar).inv()), inner)
+    return lambda h: ExpRiordan(num.mul(h.compose(lbar).inv()), inner)
 
 
 def connection_constants(source, target) -> ExpRiordan:
@@ -179,4 +178,4 @@ def connection_constants(source, target) -> ExpRiordan:
     <g(lbar)/h(lbar), f(lbar)> for target pair (h, l), lbar = reverse(l).
     """
     h, l = target
-    return next(_connection_arrays(source, l, (h,)))
+    return _connection_arrays(source, l)(h)

@@ -74,6 +74,11 @@ def test_bad_grid_override():
         ("inverse-relation", {"seeds": ("x",)}),
         ("inverse-relation", {"seeds": (1.5,)}),
         ("inverse-relation", {"seeds": (True,)}),
+        ("egf-dowling", {"u": (0.5,)}),
+        ("egf-dowling", {"u": ("a",)}),
+        ("orthogonality", {"r": (True,)}),
+        ("dowling-shift", {"l": (0.5,)}),
+        ("r-shift-s", {"s": (0.5,)}),
     ],
 )
 def test_grid_gate(name, overrides):
@@ -210,10 +215,11 @@ def test_a_stored_fault_is_reported_at_the_first_point_it_reaches(
 
 def test_the_connection_route_reads_its_source(monkeypatch):
     # with the Euler pair as source under the Bernoulli family the constants
-    # are wrong, so the route, its pairs built once per grid and per m, fails
+    # are wrong, so the route fails; the wrong route is walked as a declared
+    # variant is, once per m
     check = registry.REGISTRY["dowling-to-bernoulli"]
-    wrong = partial(identities._corrected, source=identities._sheffer_pair_euler,
-                    family=bernoulli_poly)
+    wrong = registry._walk(partial(identities._corrected, source=identities._sheffer_pair_euler,
+                                   family=bernoulli_poly), identities._MRN, per=1)
     monkeypatch.setitem(registry.REGISTRY, check.name, replace(check, variant=wrong))
     rep = run_check(check.name, {"max_n": 3})
     assert rep.notes == ("literal statement: pass", "connection-constant route: FAIL")
