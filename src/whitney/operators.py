@@ -7,13 +7,12 @@ truncated action exact: D^{d+1} annihilates the argument.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 from .errors import SeriesTooShort
 from .poly import Poly, lincomb
-from .qformat import count
-from .series import Egf
+from .qformat import count, exact
+from .series import Egf, _binomial_scaled, expm1_scaled, log1p_scaled
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,16 +50,17 @@ def derivative_op(order: int) -> DiffOpSeries:
 def forward_difference_op(m, order: int) -> DiffOpSeries:
     """(E^m - I)/m."""
     count(m, "m", 1)
-    return DiffOpSeries(Fraction(1, m) * (Egf.exp_linear(m, order) - Egf.one(order)))
+    return DiffOpSeries(expm1_scaled(m, order))
 
 
 def scaled_log_op(m, order: int) -> DiffOpSeries:
     """ln(1 + mD)/m, the delta operator whose basic family has steps of m."""
     count(m, "m", 1)
-    return DiffOpSeries(Fraction(1, m) * Egf.one_plus_ct(m, order).log())
+    return DiffOpSeries(log1p_scaled(m, order))
 
 
 def binomial_power_op(m, q, order: int) -> DiffOpSeries:
-    """(1 + mD)^q for rational q."""
+    """(1 + mD)^q for rational q, which is (1 + mD)^(-r/m) at r = -qm."""
     count(m, "m", 1)
-    return DiffOpSeries(Egf.one_plus_ct(m, order).pow(q))
+    count(order, "order")
+    return DiffOpSeries(_binomial_scaled(m, -exact(q) * m, order))

@@ -8,15 +8,12 @@ t / fbar(t), fbar the compositional inverse of f.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 from math import comb
-from operator import mul
 
 from . import qformat
 from .errors import NotInvertible, OrderExceeded
 from .poly import Poly
-from .qformat import exact
-from .series import Egf, _Operand, _product, expm1_scaled, log1p_scaled
+from .series import Egf, _Operand, _binomial_scaled, _product, expm1_scaled, log1p_scaled
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -131,20 +128,10 @@ def _dowling_egf(m: int, r, u, order: int) -> Egf:
 
 def whitney1_array(m: int, r, order: int) -> ExpRiordan:
     """<(1+mt)^{-r/m}, ln(1+mt)/m>: the first-kind triangle; its (g, f) is
-    also the Sheffer pair of the Dowling family.
-
-    g is built from its own EGF coefficients g_n = (-r)(-r-m)...(-r-(n-1)m),
-    not through a series power: for r = p/q, q^n g_n is the integer
-    (-p)(-p-mq)...(-p-(n-1)mq), so g is those integers times q^(N-n) over
-    q^N at order N.
-    """
+    also the Sheffer pair of the Dowling family."""
     qformat.count(m, "m", 1)
     qformat.count(order, "order")
-    r = exact(r)
-    p, q = r.numerator, r.denominator
-    nums = accumulate((-p - i * m * q for i in range(order)), mul, initial=1)
-    g = Egf._make([x * q ** (order - n) for n, x in enumerate(nums)], q ** order)
-    return ExpRiordan(g, log1p_scaled(m, order))
+    return ExpRiordan(_binomial_scaled(m, r, order), log1p_scaled(m, order))
 
 
 def sheffer_polys(g: Egf, f: Egf, count: int) -> list:

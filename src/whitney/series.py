@@ -193,11 +193,6 @@ class Egf(_Pair):
         p, q = c.numerator, c.denominator
         return cls._make([p ** n * q ** (order - n) for n in range(order + 1)], q ** order)
 
-    @classmethod
-    def one_plus_ct(cls, c, order: int) -> "Egf":
-        c, order = exact(c), count(order, "order")
-        return cls([1, c][: order + 1] + [0] * (order - 1))
-
     # -- basics -------------------------------------------------------
 
     @property
@@ -373,3 +368,14 @@ def log1p_scaled(m, order: int) -> Egf:
     for n in range(1, count(order, "order") + 1):
         out.append((-m) ** (n - 1) * factorial(n - 1))
     return Egf(out)
+
+
+def _binomial_scaled(m: int, r, order: int) -> Egf:
+    """(1 + mt)^(-r/m) from its EGF coefficients g_n = (-r)(-r-m)...(-r-(n-1)m),
+    not as a series power: for r = p/q, q^n g_n is the integer (-p)(-p-mq)...
+    (-p-(n-1)mq), so g is those integers times q^(N-n) over q^N at order N.
+    Its callers gate m and the order, in that order, before r is gated here."""
+    r = exact(r)
+    p, q = r.numerator, r.denominator
+    nums = accumulate((-p - i * m * q for i in range(order)), mul, initial=1)
+    return Egf._make([x * q ** (order - n) for n, x in enumerate(nums)], q ** order)

@@ -34,7 +34,7 @@ from .errors import WhitneyError
 from .poly import Poly, _cleared, _make
 from .qformat import canonical, count
 from .riordan import whitney1_array, whitney2_array
-from .series import Egf
+from .series import log1p_scaled
 
 TRIANGLE_KINDS = ("whitney2", "whitney1", "mstirling2", "mstirling1")
 FAMILY_KINDS = (
@@ -256,7 +256,7 @@ def cauchy_numbers(n: int) -> list:
             cs = [lo - (j - 1) * hi for lo, hi in zip([0] + cs, cs + [0])]
         span = lcm(span, j + 1)  # the integral of x^k over [0, 1] is 1/(k+1)
         by_integral.append(Fraction(sum(c * (span // (k + 1)) for k, c in enumerate(cs)), span))
-    series = Egf.one_plus_ct(1, n + 1).log().shift_down().inv()
+    series = log1p_scaled(1, n + 1).shift_down().inv()
     by_series = list(series.a)
     if by_integral != by_series:
         raise WhitneyError("internal inconsistency: Cauchy number routes disagree")

@@ -131,6 +131,9 @@ def test_validation():
         count_whitney_pairs(2, 1, 0, 0)
     with pytest.raises(ValueError):
         count_whitney_pairs(-1, 0, 1, 0)
+    for order in ((1, 1, 3), (1, 2), (0, 1, 2)):
+        with pytest.raises(ValueError, match="order must be a permutation"):
+            list(iter_whitney_pairs(3, 1, 1, 0, order=order))
 
 
 def test_instance_cap(monkeypatch):

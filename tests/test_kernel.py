@@ -144,7 +144,7 @@ def test_equal_series_built_by_different_routes_are_equal_and_hash_equal(m, orde
         _json_round_trip(expm1_scaled(m, order + 3).truncate(order)),
     ]
     assert all(r == routes[0] and hash(r) == hash(routes[0]) for r in routes)
-    logs = [log1p_scaled(m, order), Fraction(1, m) * Egf.one_plus_ct(m, order).log()]
+    logs = [log1p_scaled(m, order), Fraction(1, m) * Egf(([1, m] + [0] * order)[: order + 1]).log()]
     if order:
         logs.append(expm1_scaled(m, order).reverse())
         logs.append(expm1_scaled(m, order).reverse_lagrange())
@@ -160,7 +160,7 @@ def test_coefficients_read_as_plain_fractions():
     results = [
         f, g, h, f * g, f * f, g * g, g.mul(g.shift_down().truncate(40 - 1)), f + g, f - g, -g, Fraction(2, 3) * f,
         f.inv(), (f - Egf.one(40)).exp(), f.log(), h.pow(Fraction(1, 3)), f.compose(g), g.reverse(),
-        g.reverse_lagrange(), g.shift_down(), f.truncate(7), Egf.zero(3), Egf.t(3), Egf.one_plus_ct(2, 5),
+        g.reverse_lagrange(), g.shift_down(), f.truncate(7), Egf.zero(3), Egf.t(3), Egf([1, 2, 0, 0, 0, 0]),
     ]
     for r in results:
         assert all(type(c) is Fraction for c in r.a)
@@ -263,8 +263,10 @@ def test_integer_kernels_are_the_series_inverses(monkeypatch, numbers, oracle):
 @given(st.integers(1, 5), st.integers(-9, 9), st.integers(1, 9), st.integers(1, 40))
 def test_first_kind_g_is_the_series_power(m, p, q, order):
     g = whitney1_array(m, Fraction(p, q), order).g
-    want = Egf.one_plus_ct(m, order).pow(Fraction(-p, q * m))
+    want = Egf([1, m] + [0] * (order - 1)).pow(Fraction(-p, q * m))
     assert g == want
+    # the operator (1 + mD)^(-r/m) reads the same builder, so the power is its oracle too
+    assert binomial_power_op(m, Fraction(-p, q * m), order).series == want
 
 
 @pytest.mark.parametrize(
@@ -344,7 +346,7 @@ def test_compose_builds_each_weighted_inner_row_once(monkeypatch):
         lambda: Egf([1, True]),
         lambda: Egf([1, 2, 3]).pow(0.1),
         lambda: Egf([1, 2, 3]).pow(True),
-        lambda: Egf.one_plus_ct(0.5, 0),
+        lambda: binomial_power_op(2, 0.5, 0),
         lambda: whitney1_row_egf(2, 0.1, 2),
         lambda: whitney1_row_egf(2, 0.1, 0),
         lambda: whitney1_array(2, 0.1, 2),
@@ -361,7 +363,7 @@ def test_compose_builds_each_weighted_inner_row_once(monkeypatch):
     ],
     ids=[
         "egf-float", "egf-integral-float", "egf-lone-bool", "egf-str", "egf-exp-linear-float",
-        "egf-exp-linear-bool", "egf-bool", "egf-pow-float", "egf-pow-bool", "egf-one-plus-ct-float-order0",
+        "egf-exp-linear-bool", "egf-bool", "egf-pow-float", "egf-pow-bool", "binomial-power-float-q-order0",
         "whitney1-row-egf-float", "whitney1-row-egf-float-n0", "whitney1-array-float", "whitney2-row-egf-float",
         "whitney2-row-egf-bool", "expm1-bool", "log1p-float", "log1p-bool", "poly-float", "poly-bool",
         "poly-times-float", "stepped-product-bool-step", "stepped-product-float-step",
@@ -394,7 +396,7 @@ def test_inexact_coefficients_are_refused(build):
         lambda: Egf.t(True),
         lambda: Egf.t(0),
         lambda: Egf.exp_linear(2, -1),
-        lambda: Egf.one_plus_ct(2, -1),
+        lambda: binomial_power_op(2, 1, -1),
         lambda: expm1_scaled(2, -1),
         lambda: log1p_scaled(2, -3),
         lambda: forward_difference_op(2, -1),
@@ -411,7 +413,7 @@ def test_inexact_coefficients_are_refused(build):
         "whitney2-row-egf-negative-n", "whitney1-row-egf-negative-n", "cauchy-negative-n",
         "touchard-inverse-m0", "dowling-inverse-negative-m", "identity-bool-max-n",
         "egf-one-negative-order", "egf-zero-negative-order", "egf-t-bool-order", "egf-t-order0",
-        "exp-linear-negative-order", "one-plus-ct-negative-order", "expm1-negative-order",
+        "exp-linear-negative-order", "binomial-power-negative-order", "expm1-negative-order",
         "log1p-negative-order", "forward-difference-negative-order", "shift-op-negative-order",
         "egf-coeff-negative-index", "egf-coeff-float-index", "a-sequence-negative-index",
         "sheffer-polys-float-count", "sheffer-polys-negative-count",

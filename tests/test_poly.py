@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitney.grammar import XYPoly
+from whitney.grammar import XYPoly, derive_n, stirling_grammar
 from whitney.poly import (
     Poly,
     falling_basis_expand,
@@ -42,6 +42,7 @@ def test_arithmetic_basics():
 
 def test_falling_basis_constant():
     assert falling_basis_expand(Poly([1])) == [1]
+    assert falling_basis_expand(Poly()) == [0]
 
 
 def test_falling_basis_x_squared():
@@ -136,6 +137,10 @@ def test_poly_and_egf_share_the_pair_layout_but_not_equality():
         assert v != v * 2 and v != Fraction(1, 2) * v
         with pytest.raises(AttributeError, match="^%s is immutable$" % type(v).__name__):
             v._n = (1,)
+    # y'' = xy + x^2 y under y -> xy, x -> x; the dicts differ in key order
+    built, derived = XYPoly({(1, 2): 1, (1, 1): 1}), derive_n(stirling_grammar(), XYPoly.monomial(1, 0), 2)
+    assert built == derived and hash(built) == hash(derived)
+    assert XYPoly.monomial(0, 0) != Poly([1]) and Poly([1]) != XYPoly.monomial(0, 0)
     # a sum or product takes only its own type or a scalar, though Poly and
     # Egf share the layout
     for mixed in (lambda: Egf([1, 2]) - Poly([1]), lambda: Egf([1, 2]) + 1,

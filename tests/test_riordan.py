@@ -257,7 +257,7 @@ def _euler_pair(order):
 
 
 def _dowling_pair(m, r, order):
-    g = Egf.one_plus_ct(m, order).pow(-Fraction(r) / m)
+    g = Egf(([1, m] + [0] * order)[: order + 1]).pow(-Fraction(r) / m)
     return (g, log1p_scaled(m, order))
 
 

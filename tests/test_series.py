@@ -34,13 +34,13 @@ def test_exp_of_t_is_exponential():
 
 
 def test_log_of_one_plus_t():
-    got = Egf.one_plus_ct(1, 8).log()
+    got = Egf([1, 1] + [0] * 7).log()
     want = [0] + [(-1) ** (n - 1) * factorial(n - 1) for n in range(1, 9)]
     assert list(got.a) == want
 
 
 def test_pow_binomial_series():
-    got = Egf.one_plus_ct(2, 4).pow(Fraction(-3, 2))
+    got = Egf([1, 2, 0, 0, 0]).pow(Fraction(-3, 2))
     assert got.a[1] == -3
     assert got.a[2] == 15
     assert got.a[3] == -105

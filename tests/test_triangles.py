@@ -14,9 +14,11 @@ from oracle_helpers import (
     falling_integral,
     stirling2_brute,
 )
-from whitney.errors import BadParameter
+from whitney import triangles
+from whitney.errors import BadParameter, WhitneyError
 from whitney.poly import Poly, stepped_product
 from whitney.qformat import parse_rat, rat_str, write
+from whitney.series import Egf, log1p_scaled
 from whitney.triangles import (
     FAMILY_KINDS,
     TRIANGLE_KINDS,
@@ -245,6 +247,21 @@ def test_cauchy_numbers_dual_route():
     assert got[:4] == [1, Fraction(1, 2), Fraction(-1, 6), Fraction(1, 4)]
     for n in range(7):
         assert got[n] == falling_integral(n)
+
+
+def test_cauchy_routes_are_compared(monkeypatch):
+    # the series route starts from ln(1 + t) through order n + 1; one slipped
+    # coefficient there must be caught by the comparison with the integrals
+    calls = []
+
+    def slipped(m, order):
+        calls.append((m, order))
+        return log1p_scaled(m, order) + Egf([0] * order + [1])
+
+    monkeypatch.setattr(triangles, "log1p_scaled", slipped)
+    with pytest.raises(WhitneyError, match="Cauchy number routes disagree"):
+        cauchy_numbers(6)
+    assert calls == [(1, 7)]
 
 
 def test_classical_seq_dispatch():
